@@ -791,31 +791,11 @@ fn parse_on_tenant<'a>(
     chaos_slow_write: &mut bool,
 ) -> Slot<'a> {
     match wire::parse_request(req, tenant.router().mesh()) {
-        Ok(Request::Health) => {
-            let snap = ctl.stats.snapshot();
-            Slot::Done {
-                reply: format!(
-                    "OK healthy accepted={} completed={} shed={} queue_depth={}\n",
-                    snap.accepted, snap.completed, snap.shed_overloaded, snap.queue_depth
-                ),
-                bucket: Counter::Completed,
-                tenant: None,
-            }
-        }
-        Ok(Request::Ready) => Slot::Done {
-            reply: if ctl.shutdown_requested(cfg) {
-                wire::format_err_line(ErrorKind::ShuttingDown, "")
-            } else {
-                "OK ready\n".to_string()
-            },
-            bucket: Counter::Completed,
-            tenant: None,
-        },
-        Ok(Request::Metrics) => Slot::Done {
-            // Also served here on the request port (subject to
-            // admission); the health listener serves it
-            // admission-free.
-            reply: render_exposition(&ctl.stats.snapshot(), ctl.uptime()),
+        // Probes answer from the global ledger, unattributed. METRICS is
+        // served here subject to admission; the health listener serves
+        // it admission-free.
+        Ok(probe @ (Request::Health | Request::Ready | Request::Metrics)) => Slot::Done {
+            reply: probe_reply(&probe, cfg, ctl),
             bucket: Counter::Completed,
             tenant: None,
         },
@@ -1301,6 +1281,29 @@ fn serve_stats_json(snap: &StatsSnapshot, uptime: Duration) -> String {
     obj.to_string()
 }
 
+/// The reply to a `HEALTH`, `READY` or `METRICS` probe: the same bytes
+/// on the request port and on the health listener.
+fn probe_reply(probe: &Request, cfg: &ServeConfig, ctl: &Control) -> String {
+    match probe {
+        Request::Health => {
+            let snap = ctl.stats.snapshot();
+            format!(
+                "OK healthy accepted={} completed={} shed={} queue_depth={}\n",
+                snap.accepted, snap.completed, snap.shed_overloaded, snap.queue_depth
+            )
+        }
+        Request::Ready => {
+            if ctl.shutdown_requested(cfg) {
+                wire::format_err_line(ErrorKind::ShuttingDown, "")
+            } else {
+                "OK ready\n".to_string()
+            }
+        }
+        Request::Metrics => render_exposition(&ctl.stats.snapshot(), ctl.uptime()),
+        Request::Path { .. } => unreachable!("PATH is not a probe"),
+    }
+}
+
 /// The dedicated probe listener: single-threaded, admission-free, with
 /// aggressively short timeouts so a stalled prober cannot wedge it for
 /// long. Runs until the workers have drained, so probes still answer
@@ -1330,24 +1333,9 @@ fn health_loop<'a>(
                 let _ = stream.set_nodelay(true);
                 let reply = match wire::read_line(&stream, MAX_REQUEST_LINE, deadline) {
                     Ok(line) => match line.trim() {
-                        "HEALTH" => {
-                            let snap = ctl.stats.snapshot();
-                            format!(
-                                "OK healthy accepted={} completed={} shed={} queue_depth={}\n",
-                                snap.accepted,
-                                snap.completed,
-                                snap.shed_overloaded,
-                                snap.queue_depth
-                            )
-                        }
-                        "READY" => {
-                            if ctl.shutdown_requested(cfg) {
-                                wire::format_err_line(ErrorKind::ShuttingDown, "")
-                            } else {
-                                "OK ready\n".to_string()
-                            }
-                        }
-                        "METRICS" => render_exposition(&ctl.stats.snapshot(), ctl.uptime()),
+                        "HEALTH" => probe_reply(&Request::Health, cfg, ctl),
+                        "READY" => probe_reply(&Request::Ready, cfg, ctl),
+                        "METRICS" => probe_reply(&Request::Metrics, cfg, ctl),
                         line => match line.strip_prefix("ADMIN ") {
                             Some(verb) => handle_admin(verb.trim(), registry, ctl),
                             None => wire::format_err_line(

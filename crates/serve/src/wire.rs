@@ -379,11 +379,9 @@ pub fn parse_response_with_id(line: &str) -> Result<(Response, Option<String>), 
     Err(format!("malformed response line `{line}`"))
 }
 
-// The incremental LF framer lives in `oblivion-wire` (the multi-process
-// simulation handoff reads worker replies with exactly the same rules);
-// re-exported here so server code keeps its historical import path. On a
-// `Framed::Bad` the server answers `BAD_REQUEST` in order and the stream
-// stays in sync.
+// The incremental LF framer lives in `oblivion-wire`; re-exported here so
+// server code keeps its historical import path. On a `Framed::Bad` the
+// server answers `BAD_REQUEST` in order and the stream stays in sync.
 pub use oblivion_wire::{FrameBuf, Framed};
 
 /// Why [`read_line`] stopped before producing a line.

@@ -121,38 +121,6 @@ impl PacketState {
     }
 }
 
-/// Appends one packet to a writer — the unit shared by the snapshot
-/// payload and the multi-process engine's handoff messages, so a packet
-/// crossing a process boundary has exactly the bytes it would have in a
-/// checkpoint.
-pub(crate) fn encode_packet(w: &mut ByteWriter, p: &PacketState) {
-    w.u64(p.id);
-    w.u64(p.inj);
-    w.u64(p.injected_at);
-    w.u64(p.arrived);
-    w.u64(p.rank);
-    w.u64(p.pos);
-    w.u32(p.attempts);
-    w.u64(p.backoff_until);
-    w.u64_slice(&p.path);
-}
-
-/// Reads one packet (structural decode only; cross-packet invariants
-/// like id ordering and mesh validity are the caller's checks).
-pub(crate) fn decode_packet(r: &mut ByteReader<'_>) -> Result<PacketState, CkptError> {
-    Ok(PacketState {
-        id: r.u64("packet.id")?,
-        inj: r.u64("packet.inj")?,
-        injected_at: r.u64("packet.injected_at")?,
-        arrived: r.u64("packet.arrived")?,
-        rank: r.u64("packet.rank")?,
-        pos: r.u64("packet.pos")?,
-        attempts: r.u32("packet.attempts")?,
-        backoff_until: r.u64("packet.backoff_until")?,
-        path: r.u64_vec("packet.path")?,
-    })
-}
-
 /// Deterministic observability state carried through a checkpoint.
 #[derive(Debug, Clone, Default)]
 pub struct ObsState {
@@ -212,7 +180,15 @@ impl EngineState {
         w.u64_slice(&self.link_loads);
         w.usize(self.packets.len());
         for p in &self.packets {
-            encode_packet(&mut w, p);
+            w.u64(p.id);
+            w.u64(p.inj);
+            w.u64(p.injected_at);
+            w.u64(p.arrived);
+            w.u64(p.rank);
+            w.u64(p.pos);
+            w.u32(p.attempts);
+            w.u64(p.backoff_until);
+            w.u64_slice(&p.path);
         }
         match &self.fstats {
             None => w.u8(0),
@@ -291,7 +267,17 @@ impl EngineState {
         let mut packets = Vec::with_capacity(n_packets);
         let mut prev_id: Option<u64> = None;
         for _ in 0..n_packets {
-            let p = decode_packet(&mut r)?;
+            let p = PacketState {
+                id: r.u64("packet.id")?,
+                inj: r.u64("packet.inj")?,
+                injected_at: r.u64("packet.injected_at")?,
+                arrived: r.u64("packet.arrived")?,
+                rank: r.u64("packet.rank")?,
+                pos: r.u64("packet.pos")?,
+                attempts: r.u32("packet.attempts")?,
+                backoff_until: r.u64("packet.backoff_until")?,
+                path: r.u64_vec("packet.path")?,
+            };
             if prev_id.is_some_and(|prev| p.id <= prev) || p.id >= arena_len {
                 return Err(CkptError::Malformed {
                     field: "packet.id",
@@ -421,29 +407,6 @@ pub(crate) fn capture_obs() -> Option<ObsState> {
     })
 }
 
-/// What the checkpoint driver wants done at a step boundary, decided
-/// *once* per boundary (the shutdown-signal read is latched into the
-/// decision, so an engine that must gather state before saving — the
-/// multi-process supervisor — sees the same answer the commit does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BoundaryAction {
-    /// Proceed with the step; no snapshot needed.
-    Run,
-    /// Simulated kill ([`CheckpointCfg::stop_at`]): stop without saving.
-    Stop,
-    /// Graceful shutdown: save a snapshot, then stop.
-    SaveStop,
-    /// Periodic cadence: save a snapshot, then proceed.
-    Save,
-}
-
-impl BoundaryAction {
-    /// Whether this action consumes a captured [`EngineState`].
-    pub(crate) fn saves(self) -> bool {
-        matches!(self, BoundaryAction::SaveStop | BoundaryAction::Save)
-    }
-}
-
 /// Per-run checkpoint driver: decides, at each step boundary, whether to
 /// stop, save, or continue. Owned by the engine's coordinator; `capture`
 /// is only invoked when a snapshot is actually needed.
@@ -458,54 +421,39 @@ impl<'a, 'b> Driver<'a, 'b> {
         Self { cfg, next_gen }
     }
 
-    /// Decides the boundary action for step `t`.
-    pub(crate) fn decide(&self, t: u64) -> BoundaryAction {
+    /// Runs the step-boundary protocol for step `t`. Returns `Some` when
+    /// the engine must stop and propagate the reason.
+    pub(crate) fn at_step(
+        &mut self,
+        t: u64,
+        capture: impl FnOnce() -> EngineState,
+    ) -> Option<StopReason> {
         if self.cfg.stop_at == Some(t) {
             // Simulated kill: stop dead, saving nothing.
-            return BoundaryAction::Stop;
+            return Some(StopReason::Interrupted(Interrupted {
+                step: t,
+                generation: None,
+            }));
         }
         if oblivion_ckpt::signal::shutdown_requested() {
-            return BoundaryAction::SaveStop;
+            return Some(match self.save(t, capture()) {
+                Ok(generation) => StopReason::Interrupted(Interrupted {
+                    step: t,
+                    generation: Some(generation),
+                }),
+                Err(e) => StopReason::Error(e),
+            });
         }
         if self.cfg.every > 0
             && t > 0
             && t.is_multiple_of(self.cfg.every)
             && self.cfg.resume_step != Some(t)
         {
-            return BoundaryAction::Save;
-        }
-        BoundaryAction::Run
-    }
-
-    /// Commits a decided action; `state` must be `Some` iff
-    /// [`BoundaryAction::saves`]. Returns `Some` when the engine must
-    /// stop and propagate the reason.
-    pub(crate) fn act(
-        &mut self,
-        t: u64,
-        action: BoundaryAction,
-        state: Option<EngineState>,
-    ) -> Option<StopReason> {
-        match action {
-            BoundaryAction::Run => None,
-            BoundaryAction::Stop => Some(StopReason::Interrupted(Interrupted {
-                step: t,
-                generation: None,
-            })),
-            BoundaryAction::SaveStop => {
-                Some(match self.save(t, state.expect("SaveStop captures")) {
-                    Ok(generation) => StopReason::Interrupted(Interrupted {
-                        step: t,
-                        generation: Some(generation),
-                    }),
-                    Err(e) => StopReason::Error(e),
-                })
+            if let Err(e) = self.save(t, capture()) {
+                return Some(StopReason::Error(e));
             }
-            BoundaryAction::Save => self
-                .save(t, state.expect("Save captures"))
-                .err()
-                .map(StopReason::Error),
         }
+        None
     }
 
     fn save(&mut self, t: u64, state: EngineState) -> Result<u64, CkptError> {

@@ -26,7 +26,6 @@
 pub mod checkpoint;
 pub mod online;
 pub mod pool;
-pub mod procs;
 pub mod sharded;
 mod stepper;
 pub use checkpoint::{CheckpointCfg, EngineState, Interrupted, StopReason};

@@ -641,34 +641,6 @@ impl<'a> OnlineSim<'a> {
     ) -> Result<OnlineResult, StopReason> {
         crate::sharded::run_sharded_ckpt(self, pattern, paths, steps, seed, threads, ckpt, resume)
     }
-
-    /// Runs the same simulation on the supervised **multi-process**
-    /// engine: this process becomes the supervisor (injection, routing,
-    /// step barrier) and `pcfg.procs` child worker processes step the
-    /// spatial shards, exchanging boundary handoffs over checksummed
-    /// pipes (see [`crate::procs`]).
-    ///
-    /// Deterministic: the outcome matches [`Self::run`] and
-    /// [`Self::run_sharded`] byte for byte at any process count — even
-    /// when a worker dies mid-run and is restored from its shadow
-    /// snapshot, because a worker's state is a pure function of the
-    /// shadow plus the replayed step messages.
-    ///
-    /// # Panics
-    /// Panics if `pcfg.procs == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_procs_ckpt(
-        &self,
-        pattern: &dyn TrafficPattern,
-        paths: &(dyn PathSource + Sync),
-        steps: u64,
-        seed: u64,
-        pcfg: &crate::procs::ProcsCfg,
-        ckpt: Option<&CheckpointCfg<'_>>,
-        resume: Option<&EngineState>,
-    ) -> Result<OnlineResult, StopReason> {
-        crate::procs::run_procs_ckpt(self, pattern, paths, steps, seed, pcfg, ckpt, resume)
-    }
 }
 
 /// Builds the canonical [`EngineState`] of the sequential engine at the

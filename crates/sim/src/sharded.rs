@@ -48,11 +48,11 @@ pub const MAX_SHARDS: usize = 16;
 pub struct ShardMap {
     shards: usize,
     /// Shard of each edge, indexed by `EdgeId`.
-    pub(crate) shard_of_edge: Vec<u32>,
+    shard_of_edge: Vec<u32>,
     /// Dense slot of each edge within its shard, indexed by `EdgeId`.
-    pub(crate) slot_of_edge: Vec<u32>,
+    slot_of_edge: Vec<u32>,
     /// Edges per shard.
-    pub(crate) slots: Vec<usize>,
+    slots: Vec<usize>,
 }
 
 impl ShardMap {
@@ -98,60 +98,60 @@ impl ShardMap {
 /// arena is taken for write only when the coordinator appends newly
 /// injected packets between parallel rounds.
 #[derive(Default)]
-pub(crate) struct Arena {
+struct Arena {
     /// Each path sits behind its own (uncontended) mutex: a packet is
     /// owned by exactly one shard per step, and only that shard ever
     /// locks it — needed so `resample` recovery can swap the path in
     /// place without `unsafe`.
-    pub(crate) path: Vec<Mutex<Path>>,
-    pub(crate) injected_at: Vec<u64>,
-    pub(crate) rank: Vec<u64>,
+    path: Vec<Mutex<Path>>,
+    injected_at: Vec<u64>,
+    rank: Vec<u64>,
     /// Global injection index — identity for fault decisions.
-    pub(crate) inj: Vec<u64>,
-    pub(crate) pos: Vec<AtomicUsize>,
-    pub(crate) arrived: Vec<AtomicU64>,
-    pub(crate) cur_edge: Vec<AtomicUsize>,
+    inj: Vec<u64>,
+    pos: Vec<AtomicUsize>,
+    arrived: Vec<AtomicU64>,
+    cur_edge: Vec<AtomicUsize>,
     /// Fault-recovery budget units consumed so far.
-    pub(crate) attempts: Vec<AtomicU32>,
+    attempts: Vec<AtomicU32>,
     /// Step before which fault recovery makes no further decision.
-    pub(crate) backoff: Vec<AtomicU64>,
+    backoff: Vec<AtomicU64>,
 }
 
 /// Tombstone marker in a shard's active list: the packet left the shard
 /// (delivered or handed off) and is skipped at the next scan.
-pub(crate) const GONE: usize = usize::MAX;
+const GONE: usize = usize::MAX;
 
 /// Per-shard mutable state. Locked by whichever worker claims the shard
 /// this step (uncontended: each shard is claimed exactly once per step).
-pub(crate) struct ShardState {
+struct ShardState {
     /// Packets owned by this shard (`GONE` entries are compacted lazily).
-    pub(crate) active: Vec<usize>,
+    active: Vec<usize>,
     /// Live packet count after the last step (excludes tombstones).
-    pub(crate) live: usize,
+    live: usize,
     /// Per-slot winner key `(policy priority, packet id)` this step.
-    pub(crate) best: Vec<(u64, u64)>,
+    best: Vec<(u64, u64)>,
     /// Per-slot winner position in `active` (for tombstoning).
-    pub(crate) best_pos: Vec<u32>,
+    best_pos: Vec<u32>,
     /// Per-slot contender count this step.
-    pub(crate) count: Vec<u32>,
+    count: Vec<u32>,
     /// Slots touched this step (insertion order).
-    pub(crate) touched: Vec<u32>,
+    touched: Vec<u32>,
     /// Per-slot traversal totals (the shard's slice of the link loads).
-    pub(crate) loads: Vec<u64>,
+    loads: Vec<u64>,
     /// Delivery latencies of packets that completed in this shard.
-    pub(crate) latencies: Vec<u64>,
-    pub(crate) step_max_group: u32,
-    pub(crate) step_busy: u32,
-    pub(crate) step_handoffs: u64,
-    pub(crate) step_delivered: u64,
-    pub(crate) step_dead: u64,
-    pub(crate) step_blocked: u64,
-    pub(crate) step_resamples: u64,
-    pub(crate) step_drops: u64,
+    latencies: Vec<u64>,
+    step_max_group: u32,
+    step_busy: u32,
+    step_handoffs: u64,
+    step_delivered: u64,
+    step_dead: u64,
+    step_blocked: u64,
+    step_resamples: u64,
+    step_drops: u64,
 }
 
 impl ShardState {
-    pub(crate) fn new(slots: usize) -> Self {
+    fn new(slots: usize) -> Self {
         Self {
             active: Vec::new(),
             live: 0,
@@ -650,7 +650,7 @@ fn resample_arena(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn step_shard(
+fn step_shard(
     arena: &Arena,
     map: &ShardMap,
     shard: &Mutex<ShardState>,

@@ -1,20 +1,18 @@
 //! The shared step protocol of every online engine.
 //!
-//! `online.rs` (sequential), `sharded.rs` (thread pool), and `procs.rs`
-//! (process pool) used to each hand-thread the same per-step ritual —
-//! termination test, checkpoint boundary, injection draws with fault
-//! gating, fault-recovery clocks, per-step observability, finale
-//! counters — three divergent copies of one protocol, and a standing
-//! source of drift bugs. [`Stepper`] is that protocol, written once.
+//! `online.rs` (sequential reference) and `sharded.rs` (thread pool)
+//! share one per-step ritual — termination test, checkpoint boundary,
+//! injection draws with fault gating, fault-recovery clocks, per-step
+//! observability, finale counters. [`Stepper`] is that protocol, written
+//! once.
 //!
 //! The engines remain the pluggable *phase drivers*: each still owns its
-//! movement/contention machinery (a flight list, a sharded arena, a
-//! fleet of worker processes), but every decision that defines the
-//! simulation's deterministic outcome — when the run ends, what the main
-//! RNG draws, how a blocked packet's retry clock advances, which obs
-//! values a step emits — flows through this module. A policy change here
-//! lands in all engines at once, and the differential suites hold them
-//! byte-identical.
+//! movement/contention machinery (a flight list, a sharded arena), but
+//! every decision that defines the simulation's deterministic outcome —
+//! when the run ends, what the main RNG draws, how a blocked packet's
+//! retry clock advances, which obs values a step emits — flows through
+//! this module. A policy change here lands in both engines at once, and
+//! the differential suites hold them byte-identical.
 //!
 //! Step shape (driven by the engine's loop):
 //!
@@ -28,7 +26,7 @@
 //! stepper.finish(shard_finale);          // finale counters
 //! ```
 
-use crate::checkpoint::{BoundaryAction, CheckpointCfg, Driver, EngineState, StopReason};
+use crate::checkpoint::{CheckpointCfg, Driver, EngineState, StopReason};
 use crate::online::{FaultStats, Faults, TrafficPattern};
 use oblivion_mesh::{Coord, Mesh};
 use rand::rngs::StdRng;
@@ -37,8 +35,7 @@ use rand::{Rng, SeedableRng};
 /// A packet drawn for injection this step, awaiting routing. Routing is
 /// deliberately *not* part of the draw: each packet's path comes from a
 /// private RNG derived from `(seed, idx)`, so engines may route pendings
-/// inline, on a thread pool, or in another process without touching the
-/// main RNG stream.
+/// inline or on a thread pool without touching the main RNG stream.
 pub(crate) struct Pending {
     /// Injection node.
     pub(crate) src: Coord,
@@ -99,8 +96,8 @@ fn fault_decision(
 /// A packet's MTTR/MTBF fault-recovery clock: budget consumed so far and
 /// the step before which no further recovery decision is made. The
 /// sequential engine embeds one per flight; the sharded engine round-trips
-/// it through its arena atomics; the process workers carry it in their
-/// packet records — but the transition rules live only here.
+/// it through its arena atomics — but the transition rules live only
+/// here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct FaultClock {
     /// Fault-recovery budget units consumed so far.
@@ -324,41 +321,6 @@ impl<'fx, 'st, 'cfg> Stepper<'fx, 'st, 'cfg> {
         self.t < self.horizon && (self.t < self.steps || alive > 0)
     }
 
-    /// Decides the checkpoint boundary action for the coming step
-    /// (latching the shutdown-signal read, so a later
-    /// [`Stepper::resolve_boundary`] commits exactly what was decided).
-    /// `BoundaryAction::Run` when no checkpointing is configured.
-    pub(crate) fn boundary_action(&self) -> BoundaryAction {
-        self.driver
-            .as_ref()
-            .map_or(BoundaryAction::Run, |d| d.decide(self.t))
-    }
-
-    /// The stepper-owned half of an [`EngineState`], for engines that
-    /// capture a snapshot themselves (after [`Stepper::boundary_action`]
-    /// said one is needed).
-    pub(crate) fn scalars(&self) -> BoundaryScalars<'_> {
-        BoundaryScalars {
-            t: self.t,
-            rng: &self.rng,
-            injected: self.injected,
-            inj_idx: self.inj_idx,
-            fstats: &self.fstats,
-        }
-    }
-
-    /// Commits a decided boundary action; `state` must be `Some` iff
-    /// `action.saves()`. Returns `Some` when the engine must stop and
-    /// propagate the reason.
-    pub(crate) fn resolve_boundary(
-        &mut self,
-        action: BoundaryAction,
-        state: Option<EngineState>,
-    ) -> Option<StopReason> {
-        let t = self.t;
-        self.driver.as_mut().and_then(|d| d.act(t, action, state))
-    }
-
     /// Runs the checkpoint step-boundary protocol (periodic save,
     /// graceful shutdown, the `stop_at` kill hook). `capture` is invoked
     /// only when a snapshot is actually written. Returns `Some` when the
@@ -367,9 +329,15 @@ impl<'fx, 'st, 'cfg> Stepper<'fx, 'st, 'cfg> {
         &mut self,
         capture: impl FnOnce(&BoundaryScalars<'_>) -> EngineState,
     ) -> Option<StopReason> {
-        let action = self.boundary_action();
-        let state = action.saves().then(|| capture(&self.scalars()));
-        self.resolve_boundary(action, state)
+        let driver = self.driver.as_mut()?;
+        let scalars = BoundaryScalars {
+            t: self.t,
+            rng: &self.rng,
+            injected: self.injected,
+            inj_idx: self.inj_idx,
+            fstats: &self.fstats,
+        };
+        driver.at_step(self.t, || capture(&scalars))
     }
 
     /// Draws this step's injections from the main RNG into `out` (cleared

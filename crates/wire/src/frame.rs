@@ -1,10 +1,7 @@
 //! Incremental LF framing for pipelined byte streams.
 //!
-//! Originally the serving layer's request framer; now shared with the
-//! multi-process simulation handoff, whose supervisor reads worker
-//! replies off a pipe with exactly the same rules. The framer survives
-//! garbage between terminators and keeps memory bounded no matter what
-//! the peer sends.
+//! The serving layer's request framer. It survives garbage between
+//! terminators and keeps memory bounded no matter what the peer sends.
 
 /// One framing outcome popped off a [`FrameBuf`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,9 +1,8 @@
 //! `oblivion-wire`: shared wire-format primitives.
 //!
-//! Three independent subsystems of the workspace speak length-checked,
-//! checksummed byte protocols: the TCP serving layer (`oblivion-serve`),
-//! the crash-consistent checkpoint store (`oblivion-ckpt`), and the
-//! multi-process simulation supervisor (`oblivion_sim::procs`). This
+//! Two independent subsystems of the workspace speak length-checked,
+//! checksummed byte protocols: the TCP serving layer (`oblivion-serve`)
+//! and the crash-consistent checkpoint store (`oblivion-ckpt`). This
 //! crate is the one place their framing and integrity machinery lives,
 //! so a poisoning bug or a checksum change cannot drift between them:
 //!
@@ -15,9 +14,6 @@
 //! * [`bytes`] — the validating little-endian codec ([`ByteWriter`] /
 //!   [`ByteReader`]): corrupt payloads decode to typed errors, never
 //!   panics.
-//! * [`msg`] — a checksummed single-line message codec
-//!   (`TAG <hex payload> <crc>`): binary payloads framed as LF lines,
-//!   CRC-verified on decode. The inter-process step handoff runs on it.
 //!
 //! Dependency-free like the rest of the workspace.
 
@@ -27,9 +23,7 @@
 pub mod bytes;
 pub mod crc32;
 pub mod frame;
-pub mod msg;
 
 pub use bytes::{ByteReader, ByteWriter, CkptError};
 pub use crc32::crc32;
 pub use frame::{FrameBuf, Framed};
-pub use msg::{decode_msg, encode_msg, Msg, MsgError};

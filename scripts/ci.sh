@@ -75,9 +75,8 @@ timed "cargo test (workspace minus serve)" \
 timed_retry "serve soak + pipelining tests" \
   cargo test -p oblivion-serve --offline -q
 
-# Fault-injected runs must be byte-identical across every execution
-# engine: run the same faulted online simulation at --threads 1 and 8
-# and in 4 worker *processes* (--procs 4), and compare every
+# Fault-injected runs must be byte-identical across thread counts: run the
+# same faulted online simulation at --threads 1 and 8 and compare every
 # deterministic metrics line (wall-clock spans and the whole
 # scheduling-dependent `runtime_` family excluded).
 fault_differential() {
@@ -91,27 +90,16 @@ fault_differential() {
     grep -v '"type":"span' "$tmp/t$threads.json" \
       | grep -v '"type":"runtime_' > "$tmp/t$threads.det"
   done
-  cargo run --offline --quiet --bin oblivion -- "${base[@]}" \
-    --procs 4 --checkpoint-dir "$tmp/ckpt" --metrics-out "$tmp/p4.json" \
-    > /dev/null
-  grep -v '"type":"span' "$tmp/p4.json" \
-    | grep -v '"type":"runtime_' > "$tmp/p4.det"
   if ! cmp -s "$tmp/t1.det" "$tmp/t8.det"; then
     echo "fault differential: metrics differ between --threads 1 and 8" >&2
     diff "$tmp/t1.det" "$tmp/t8.det" | head >&2 || true
     rm -rf "$tmp"
     return 1
   fi
-  if ! cmp -s "$tmp/t1.det" "$tmp/p4.det"; then
-    echo "fault differential: metrics differ between --threads 1 and --procs 4" >&2
-    diff "$tmp/t1.det" "$tmp/p4.det" | head >&2 || true
-    rm -rf "$tmp"
-    return 1
-  fi
   rm -rf "$tmp"
 }
 
-timed "fault differential (--threads 1 vs 8 vs --procs 4)" \
+timed "fault differential (--threads 1 vs 8)" \
   fault_differential
 
 # Live telemetry: a daemon under load must answer METRICS with a
@@ -279,12 +267,11 @@ chaos_serve_gate() {
 timed_retry "chaos-serve gate (hedged open-loop load vs injected stalls/resets)" \
   chaos_serve_gate
 
-# Crash consistency: kill -9 mid-run, torn snapshot writes, flipped
-# bytes, and a kill -9'd worker process of a --procs run must all
-# recover to byte-identical results — and the serve daemon must survive
-# kill -9 + restart under live load with zero malformed responses
-# (scripts/chaos.sh).
-timed_retry "chaos gate (kill -9 / torn write / corruption / worker kill / serve restart)" \
+# Crash consistency: kill -9 mid-run, torn snapshot writes, and flipped
+# bytes must all resume to byte-identical results — and the serve daemon
+# must survive kill -9 + restart under live load with zero malformed
+# responses (scripts/chaos.sh).
+timed_retry "chaos gate (kill -9 / torn write / corruption / serve restart)" \
   scripts/chaos.sh
 
 # The perf-regression gate itself must be able to catch a regression

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Regenerates every experiment table (E1-E29, plus the BENCH_route
+# Regenerates every experiment table (E1-E28, plus the BENCH_route
 # hot-path microbenchmark, whose timings are machine-dependent) into
 # results/.
 # Usage: scripts/run_experiments.sh [--force] [results-dir]
@@ -44,9 +44,6 @@ fi
 echo "== building =="
 cargo build --release -p oblivion-bench --bins --quiet
 cargo build --release --examples --quiet
-# exp_online_procs drives the oblivion CLI as a subprocess (the process
-# engine's supervisor spawns `oblivion proc-worker` children).
-cargo build --release --bin oblivion --quiet
 
 run() {
   # Binaries wired to oblivion-bench::report write $out/<exp>.json where
@@ -98,7 +95,6 @@ run exp_serve_phases         # E25
 run exp_serve_pipeline       # E26
 run exp_serve_hedging serve_hedging  # E27
 run exp_serve_tenants serve_tenants  # E28
-run exp_online_procs         # E29
 run exp_route_bench BENCH_route  # hot-path ns/path microbenchmark
 
 echo "all experiment outputs written to $out/"

@@ -26,6 +26,68 @@ pub struct Args {
 /// `--trace` is recorded as `trace = "true"`.
 pub const BOOL_FLAGS: &[&str] = &["trace", "no-health", "check", "keep-alive", "open-loop"];
 
+/// Options every subcommand accepts (the observability pair).
+const GLOBAL_OPTIONS: &[&str] = &["metrics-out", "trace"];
+
+/// The options each subcommand reads, besides [`GLOBAL_OPTIONS`].
+/// [`dispatch`] refuses any other `--key` before the command starts, so a
+/// misspelt or retired flag is an error instead of a silent default.
+/// `stats` stores its positional metrics file as `file`.
+#[rustfmt::skip]
+const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
+    ("help", &[]),
+    ("--help", &[]),
+    ("-h", &[]),
+    ("list", &[]),
+    ("route", &["mesh", "torus", "router", "workload", "workload-file", "seed", "simulate"]),
+    ("heatmap", &["mesh", "router", "workload", "workload-file", "seed"]),
+    ("path", &["mesh", "torus", "router", "from", "to", "seed"]),
+    ("decompose", &["mesh", "level", "kind"]),
+    ("simulate", &[
+        "mesh", "torus", "router", "workload", "workload-file", "seed", "policy", "max-delay",
+    ]),
+    ("online", &[
+        "mesh", "router", "seed", "rate", "steps", "policy", "threads", "pattern",
+        "fault-links", "fault-nodes", "drop-prob", "fault-mode", "mttr", "mtbf", "recovery",
+        "retry-budget", "fault-seed", "checkpoint-dir", "checkpoint-every", "ckpt-stop-at",
+    ]),
+    ("bracket", &["mesh", "torus", "router", "workload", "workload-file", "seed"]),
+    ("pia", &["mesh", "router", "l", "samples", "seed", "out"]),
+    ("serve", &[
+        "mesh", "router", "tenant-quota", "port", "threads", "queue", "deadline-ms", "drain-ms",
+        "work-us", "batch-max", "no-health", "health-port", "stats-every", "host",
+        "chaos-seed", "chaos-stall-prob", "chaos-stall-ms", "chaos-write-prob",
+        "chaos-write-ms", "chaos-reset-prob", "chaos-pause-prob", "chaos-pause-ms",
+    ]),
+    ("loadgen", &[
+        "mesh", "port", "requests", "concurrency", "retries", "backoff-ms", "backoff-cap-ms",
+        "timeout-ms", "seed", "pipeline", "keep-alive", "rate", "open-loop", "hedge-after",
+        "mesh-id", "tenant-mix", "host",
+    ]),
+    ("top", &["port", "interval-ms", "iterations", "timeout-ms", "check", "host"]),
+    ("stats", &["file"]),
+];
+
+/// Refuses an option the subcommand does not read (unknown subcommands
+/// are left for [`dispatch`] to report).
+fn check_options(args: &Args) -> Result<(), String> {
+    let Some((_, accepted)) = COMMAND_OPTIONS.iter().find(|(c, _)| *c == args.command) else {
+        return Ok(());
+    };
+    let unknown = args
+        .options
+        .keys()
+        .filter(|k| !GLOBAL_OPTIONS.contains(&k.as_str()) && !accepted.contains(&k.as_str()))
+        .min();
+    match unknown {
+        Some(key) => Err(format!(
+            "unknown option --{key} for `{}`; see `oblivion help`",
+            args.command
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Parses raw arguments (without the program name).
 ///
 /// Grammar: `SUBCOMMAND (--key value | --flag)*`, where `--flag` is one
@@ -368,11 +430,6 @@ pub fn help() -> String {
          \u{20}            (snapshot full state every K steps and on SIGINT/SIGTERM;\n\
          \u{20}             rerunning the same command resumes from the newest valid\n\
          \u{20}             snapshot with byte-identical final results)\n\
-         \u{20}            multi-process: [--procs N] (requires --checkpoint-dir;\n\
-         \u{20}             shards run in N supervised worker processes; a worker\n\
-         \u{20}             killed mid-run is respawned and replayed, results stay\n\
-         \u{20}             byte-identical to --threads and sequential)\n\
-         \u{20}            [--handoff-timeout-ms T] [--heartbeat-ms T]\n\
          \u{20}  simulate  route then deliver, reporting makespan vs C+D\n\
          \u{20}            --mesh 32x32 --router busch2d --workload random-perm\n\
          \u{20}            [--policy ftg] [--max-delay N] [--seed 42]\n\
@@ -489,6 +546,7 @@ pub fn run(args: &Args) -> Result<String, String> {
 }
 
 fn dispatch(args: &Args) -> Result<String, String> {
+    check_options(args)?;
     match args.command.as_str() {
         "help" | "--help" | "-h" => Ok(help()),
         "list" => Ok(format!(
@@ -502,9 +560,6 @@ fn dispatch(args: &Args) -> Result<String, String> {
         "decompose" => cmd_decompose(args),
         "simulate" => cmd_simulate(args),
         "online" => cmd_online(args),
-        // Hidden: the worker entry point of `online --procs N`. Spawned
-        // by the supervisor, never typed by hand (thus not in `help`).
-        "proc-worker" => cmd_proc_worker(args),
         "bracket" => cmd_bracket(args),
         "pia" => cmd_pia(args),
         "serve" => cmd_serve(args),
@@ -758,75 +813,6 @@ fn cmd_pia(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// Adapts a router to the simulator's path source, forwarding fault
-/// resamples to the router's dedicated entry point. Shared by the
-/// `online` supervisor and the hidden `proc-worker` entry point, which
-/// must select byte-identical paths.
-struct RouterSource<'a>(&'a dyn ObliviousRouter);
-impl oblivion_sim::PathSource for RouterSource<'_> {
-    fn path(&self, s: &Coord, t: &Coord, rng: &mut StdRng) -> oblivion_mesh::Path {
-        self.0.select_path(s, t, rng).path
-    }
-    fn resample(&self, current: &Coord, t: &Coord, rng: &mut StdRng) -> oblivion_mesh::Path {
-        self.0.resample_path(current, t, rng).path
-    }
-}
-
-/// The fault knobs of an online run, parsed identically by `online` and
-/// `proc-worker` (the worker must rebuild the very same fault plan).
-struct FaultArgs {
-    cfg: oblivion_faults::FaultConfig,
-    recovery: oblivion_faults::RecoveryPolicy,
-    retry_budget: u32,
-    fault_seed: u64,
-}
-
-fn parse_fault_args(args: &Args, default_seed: u64) -> Result<FaultArgs, String> {
-    use oblivion_faults::{FaultConfig, FaultMode, RecoveryPolicy};
-    let parse_prob = |key: &str| -> Result<f64, String> {
-        let p: f64 = opt(args, key, "0")
-            .parse()
-            .map_err(|e| format!("bad --{key}: {e}"))?;
-        if !(0.0..=1.0).contains(&p) {
-            return Err(format!("--{key} must be in [0, 1]"));
-        }
-        Ok(p)
-    };
-    // Mean times and budgets of 0 are degenerate (the fault plan clamps
-    // them, silently changing the model the user asked for) — reject them
-    // up front instead.
-    let parse_positive = |key: &str, default: &str| -> Result<u64, String> {
-        let v: u64 = opt(args, key, default)
-            .parse()
-            .map_err(|e| format!("bad --{key}: {e}"))?;
-        if v == 0 {
-            return Err(format!("--{key} must be at least 1"));
-        }
-        Ok(v)
-    };
-    let cfg = FaultConfig {
-        link_fail_prob: parse_prob("fault-links")?,
-        mode: FaultMode::parse(opt(args, "fault-mode", "permanent"))?,
-        mttr: parse_positive("mttr", "20")?,
-        mtbf: parse_positive("mtbf", "200")?,
-        node_fail_prob: parse_prob("fault-nodes")?,
-        drop_prob: parse_prob("drop-prob")?,
-    };
-    let recovery = RecoveryPolicy::parse(opt(args, "recovery", "resample"))?;
-    let retry_budget = u32::try_from(parse_positive("retry-budget", "16")?)
-        .map_err(|_| "bad --retry-budget: too large".to_string())?;
-    let fault_seed: u64 = match args.options.get("fault-seed") {
-        Some(v) => v.parse().map_err(|e| format!("bad --fault-seed: {e}"))?,
-        None => default_seed,
-    };
-    Ok(FaultArgs {
-        cfg,
-        recovery,
-        retry_budget,
-        fault_seed,
-    })
-}
-
 fn cmd_online(args: &Args) -> Result<String, String> {
     let mesh = parse_mesh_spec(opt(args, "mesh", "16x16"), false)?;
     let router = make_router(opt(args, "router", "buschd"), &mesh)?;
@@ -848,39 +834,48 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         return Err("--threads must be at least 1".into());
     }
     let pattern_name = opt(args, "pattern", "uniform");
-    use oblivion_faults::FaultPlan;
-    use oblivion_sim::{Faults, FixedTraffic, OnlineSim, TrafficPattern, UniformTraffic};
-
-    let FaultArgs {
-        cfg: fault_cfg,
-        recovery,
-        retry_budget,
-        fault_seed,
-    } = parse_fault_args(args, seed)?;
-
-    // ------------------------------------------------------------------
-    // Multi-process mode (`--procs N`): the shards run in N worker
-    // processes supervised by this one. Mutually exclusive with
-    // `--threads` (one parallelism axis at a time), and requires a
-    // checkpoint dir so a crashed run as a whole is also recoverable.
-    // ------------------------------------------------------------------
-    let procs: Option<usize> = match args.options.get("procs") {
-        Some(_) => Some(parse_nonzero_u64(args, "procs", "1")? as usize),
-        None => None,
+    use oblivion_faults::{FaultConfig, FaultMode, FaultPlan, RecoveryPolicy};
+    use oblivion_mesh::Path;
+    use oblivion_sim::{
+        Faults, FixedTraffic, OnlineSim, PathSource, TrafficPattern, UniformTraffic,
     };
-    if procs.is_some() && args.options.contains_key("threads") {
-        return Err(
-            "--procs and --threads are mutually exclusive (pick one parallelism axis)".into(),
-        );
-    }
-    let handoff_timeout_ms = parse_nonzero_u64(args, "handoff-timeout-ms", "5000")?;
-    let heartbeat_ms = parse_nonzero_u64(args, "heartbeat-ms", "250")?;
-    if heartbeat_ms >= handoff_timeout_ms {
-        return Err(format!(
-            "--heartbeat-ms ({heartbeat_ms}) must be below --handoff-timeout-ms \
-             ({handoff_timeout_ms}), or every worker looks dead"
-        ));
-    }
+
+    let parse_prob = |key: &str| -> Result<f64, String> {
+        let p: f64 = opt(args, key, "0")
+            .parse()
+            .map_err(|e| format!("bad --{key}: {e}"))?;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("--{key} must be in [0, 1]"));
+        }
+        Ok(p)
+    };
+    // Mean times and budgets of 0 are degenerate (the fault plan clamps
+    // them, silently changing the model the user asked for) — reject them
+    // up front instead.
+    let parse_positive = |key: &str, default: &str| -> Result<u64, String> {
+        let v: u64 = opt(args, key, default)
+            .parse()
+            .map_err(|e| format!("bad --{key}: {e}"))?;
+        if v == 0 {
+            return Err(format!("--{key} must be at least 1"));
+        }
+        Ok(v)
+    };
+    let fault_cfg = FaultConfig {
+        link_fail_prob: parse_prob("fault-links")?,
+        mode: FaultMode::parse(opt(args, "fault-mode", "permanent"))?,
+        mttr: parse_positive("mttr", "20")?,
+        mtbf: parse_positive("mtbf", "200")?,
+        node_fail_prob: parse_prob("fault-nodes")?,
+        drop_prob: parse_prob("drop-prob")?,
+    };
+    let recovery = RecoveryPolicy::parse(opt(args, "recovery", "resample"))?;
+    let retry_budget = u32::try_from(parse_positive("retry-budget", "16")?)
+        .map_err(|_| "bad --retry-budget: too large".to_string())?;
+    let fault_seed: u64 = match args.options.get("fault-seed") {
+        Some(v) => v.parse().map_err(|e| format!("bad --fault-seed: {e}"))?,
+        None => seed,
+    };
     let uniform = UniformTraffic::new(mesh.clone());
     let transpose = FixedTraffic {
         pattern_name: "transpose".into(),
@@ -903,6 +898,17 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         other => return Err(format!("unknown pattern `{other}` (uniform|transpose)")),
     };
     let _ = complement_2d;
+    /// Adapts a router to the simulator's path source, forwarding fault
+    /// resamples to the router's dedicated entry point.
+    struct RouterSource<'a>(&'a dyn ObliviousRouter);
+    impl PathSource for RouterSource<'_> {
+        fn path(&self, s: &Coord, t: &Coord, rng: &mut StdRng) -> Path {
+            self.0.select_path(s, t, rng).path
+        }
+        fn resample(&self, current: &Coord, t: &Coord, rng: &mut StdRng) -> Path {
+            self.0.resample_path(current, t, rng).path
+        }
+    }
     let source = RouterSource(router.as_ref());
     // The fault plan (when any fault knob is nonzero) is materialized
     // once up front; `--fault-links 0` etc. attaches nothing at all, so
@@ -940,13 +946,6 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         }
         if ckpt_stop_at.is_some() {
             return Err("--ckpt-stop-at needs --checkpoint-dir".into());
-        }
-        if procs.is_some_and(|p| p > 1) {
-            return Err(
-                "--procs above 1 needs --checkpoint-dir (worker recovery shares the \
-                 snapshot machinery, and a killed supervisor must be resumable)"
-                    .into(),
-            );
         }
     }
     // Everything that shapes the simulation — but NOT the thread count or
@@ -1004,117 +1003,30 @@ fn cmd_online(args: &Args) -> Result<String, String> {
             resume_state = Some(st);
         }
     }
-    // The sharded engine is deterministic in the thread count (and the
-    // process engine in the process count), so those are the only engines
-    // the CLI runs; `--threads 1` executes the sharded engine inline.
-    let r = if let Some(p) = procs {
-        // Hand the worker the run's full configuration as resolved *here*
-        // (defaults materialized), plus the plan digest so a worker built
-        // from a drifted binary or mismatched flags fails loudly instead
-        // of silently diverging. The supervisor appends --procs/--worker.
-        let worker_args: Vec<String> = [
-            "proc-worker",
-            "--mesh",
-            opt(args, "mesh", "16x16"),
-            "--router",
-            opt(args, "router", "buschd"),
-            "--policy",
-            opt(args, "policy", "fifo"),
-            "--steps",
-            &steps.to_string(),
-            "--fault-links",
-            opt(args, "fault-links", "0"),
-            "--fault-nodes",
-            opt(args, "fault-nodes", "0"),
-            "--drop-prob",
-            opt(args, "drop-prob", "0"),
-            "--fault-mode",
-            opt(args, "fault-mode", "permanent"),
-            "--mttr",
-            opt(args, "mttr", "20"),
-            "--mtbf",
-            opt(args, "mtbf", "200"),
-            "--recovery",
-            opt(args, "recovery", "resample"),
-            "--retry-budget",
-            opt(args, "retry-budget", "16"),
-            "--fault-seed",
-            &fault_seed.to_string(),
-            "--plan-digest",
-            &format!("{:016x}", plan.as_ref().map_or(0, |p| p.digest())),
-            "--heartbeat-ms",
-            &heartbeat_ms.to_string(),
-            // Workers drain their deterministic obs into every DONE, so
-            // the supervisor's metrics/snapshots include resample-time
-            // router instrumentation; see procs.rs.
-            "--metered",
-            if oblivion_obs::is_enabled() {
-                "true"
-            } else {
-                "false"
-            },
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-        let pcfg = oblivion_sim::procs::ProcsCfg {
-            procs: p,
-            handoff_timeout: std::time::Duration::from_millis(handoff_timeout_ms),
-            worker_program: std::env::current_exe()
-                .map_err(|e| format!("cannot locate the worker executable: {e}"))?,
-            worker_args,
-        };
-        let cfg_slot;
-        let cfg = match &store {
-            Some(store) => {
-                cfg_slot = CheckpointCfg {
-                    store,
-                    every: ckpt_every,
-                    stop_at: ckpt_stop_at,
-                    config_hash,
-                    resume_generation,
-                    resume_step,
-                };
-                Some(&cfg_slot)
-            }
-            None => None,
-        };
-        match sim.run_procs_ckpt(
-            pattern,
-            &source,
-            steps,
-            seed,
-            &pcfg,
-            cfg,
-            resume_state.as_ref(),
-        ) {
-            Ok(r) => r,
-            Err(stop) => return Err(stop.to_string()),
-        }
-    } else {
-        match &store {
-            None => sim.run_sharded(pattern, &source, steps, seed, threads),
-            Some(store) => {
-                let cfg = CheckpointCfg {
-                    store,
-                    every: ckpt_every,
-                    stop_at: ckpt_stop_at,
-                    config_hash,
-                    resume_generation,
-                    resume_step,
-                };
-                match sim.run_sharded_ckpt(
-                    pattern,
-                    &source,
-                    steps,
-                    seed,
-                    threads,
-                    Some(&cfg),
-                    resume_state.as_ref(),
-                ) {
-                    Ok(r) => r,
-                    Err(stop) => return Err(stop.to_string()),
-                }
+    // The sharded engine is deterministic in the thread count, so it is
+    // the only engine the CLI runs; `--threads 1` executes it inline.
+    let r = match &store {
+        None => sim.run_sharded(pattern, &source, steps, seed, threads),
+        Some(store) => {
+            let cfg = CheckpointCfg {
+                store,
+                every: ckpt_every,
+                stop_at: ckpt_stop_at,
+                config_hash,
+                resume_generation,
+                resume_step,
+            };
+            match sim.run_sharded_ckpt(
+                pattern,
+                &source,
+                steps,
+                seed,
+                threads,
+                Some(&cfg),
+                resume_state.as_ref(),
+            ) {
+                Ok(r) => r,
+                Err(stop) => return Err(stop.to_string()),
             }
         }
     };
@@ -1199,62 +1111,6 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         );
     }
     Ok(out)
-}
-
-/// The hidden worker entry point of `online --procs N`: rebuilds the
-/// run's mesh/router/policy/fault plan from the flags the supervisor
-/// passed, verifies the fault-plan digest, and serves the step protocol
-/// on stdin/stdout until told to finish.
-fn cmd_proc_worker(args: &Args) -> Result<String, String> {
-    use oblivion_faults::FaultPlan;
-    use oblivion_sim::procs::{worker_serve, WorkerCfg};
-    use oblivion_sim::Faults;
-    let mesh = parse_mesh_spec(opt(args, "mesh", "16x16"), false)?;
-    let router = make_router(opt(args, "router", "buschd"), &mesh)?;
-    let policy = parse_policy(opt(args, "policy", "fifo"))?;
-    let steps: u64 = opt(args, "steps", "500")
-        .parse()
-        .map_err(|e| format!("bad --steps: {e}"))?;
-    let fa = parse_fault_args(args, 0)?;
-    let plan =
-        (!fa.cfg.is_trivial()).then(|| FaultPlan::new(&mesh, &fa.cfg, fa.fault_seed, 2 * steps));
-    // The supervisor states the digest of the plan it routes against; a
-    // worker that derived anything else must not take a single step.
-    let stated = u64::from_str_radix(opt(args, "plan-digest", "0"), 16)
-        .map_err(|e| format!("bad --plan-digest: {e}"))?;
-    let derived = plan.as_ref().map_or(0, |p| p.digest());
-    if stated != derived {
-        return Err(format!(
-            "fault-plan digest mismatch: supervisor stated {stated:016x}, \
-             worker derived {derived:016x}"
-        ));
-    }
-    let procs = parse_nonzero_u64(args, "procs", "1")? as usize;
-    let worker: usize = opt(args, "worker", "0")
-        .parse()
-        .map_err(|e| format!("bad --worker: {e}"))?;
-    let heartbeat_ms = parse_nonzero_u64(args, "heartbeat-ms", "250")?;
-    let cfg = WorkerCfg {
-        mesh: &mesh,
-        policy,
-        faults: plan.as_ref().map(|p| Faults {
-            plan: p,
-            recovery: fa.recovery,
-            retry_budget: fa.retry_budget,
-        }),
-        procs,
-        worker,
-        heartbeat: std::time::Duration::from_millis(heartbeat_ms),
-    };
-    let source = RouterSource(router.as_ref());
-    // Enabled only now — past router/plan construction — so the drained
-    // deltas hold step-time emissions alone, never setup-time ones the
-    // supervisor already emitted for itself.
-    if opt(args, "metered", "false") == "true" {
-        oblivion_obs::enable();
-    }
-    worker_serve(&cfg, &source)?;
-    Ok(String::new())
 }
 
 // ---------------------------------------------------------------------

@@ -393,82 +393,62 @@ fn loadgen_rejects_bad_open_loop_and_hedge_flags_cleanly() {
 }
 
 #[test]
-fn procs_rejects_degenerate_knobs_cleanly() {
-    // Zero worker processes, a dead-on-arrival handoff deadline, or a
-    // heartbeat slower than the deadline it is meant to re-arm are all
-    // configuration errors — refused before any process is spawned.
-    for (flag, value) in [
-        ("--procs", "0"),
-        ("--procs", "-2"),
-        ("--procs", "many"),
-        ("--handoff-timeout-ms", "0"),
-        ("--handoff-timeout-ms", "-50"),
-        ("--heartbeat-ms", "0"),
+fn unknown_options_fail_cleanly() {
+    // Every subcommand reads a fixed set of options; anything else — a
+    // typo or a retired flag — is refused before the command runs
+    // (no checkpoint dir created, no metrics file written) instead of
+    // being silently ignored.
+    let ckpt = std::env::temp_dir().join("oblivion_cli_err_unknown_ckpt");
+    let metrics = std::env::temp_dir().join("oblivion_cli_err_unknown.json");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_file(&metrics);
+    let (ckpt_s, metrics_s) = (ckpt.to_str().unwrap(), metrics.to_str().unwrap());
+    for (args, flag) in [
+        (
+            &[
+                "online",
+                "--mesh",
+                "8x8",
+                "--router",
+                "busch2d",
+                "--steps",
+                "10",
+                "--procs",
+                "2",
+                "--checkpoint-dir",
+                ckpt_s,
+            ][..],
+            "--procs",
+        ),
+        (
+            &[
+                "online", "--mesh", "8x8", "--router", "busch2d", "--steps", "10", "--thread", "4",
+            ][..],
+            "--thread",
+        ),
+        (
+            &[
+                "route",
+                "--mesh",
+                "8x8",
+                "--sed",
+                "5",
+                "--metrics-out",
+                metrics_s,
+            ][..],
+            "--sed",
+        ),
     ] {
-        let out = oblivion(&[
-            "online", "--mesh", "8x8", "--router", "busch2d", "--steps", "10", flag, value,
-        ]);
-        assert_clean_failure(&out, &format!("{flag} {value}"));
+        let out = oblivion(args);
+        assert_clean_failure(&out, &format!("{args:?}"));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(flag.trim_start_matches('-')),
-            "{flag}: error should name the offending flag: {stderr}"
+            stderr.contains(flag) && stderr.contains(args[0]),
+            "{args:?}: error should name the option and the subcommand: {stderr}"
         );
     }
-    // A heartbeat period at or above the handoff deadline makes every
-    // worker look dead.
-    let out = oblivion(&[
-        "online",
-        "--mesh",
-        "8x8",
-        "--router",
-        "busch2d",
-        "--steps",
-        "10",
-        "--handoff-timeout-ms",
-        "500",
-        "--heartbeat-ms",
-        "500",
-    ]);
-    assert_clean_failure(&out, "--heartbeat-ms == --handoff-timeout-ms");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("heartbeat-ms"),
-        "error should name the heartbeat flag"
-    );
-}
-
-#[test]
-fn procs_rejects_conflicting_or_incomplete_modes_cleanly() {
-    // One parallelism axis at a time: --procs and --threads conflict.
-    let out = oblivion(&[
-        "online",
-        "--mesh",
-        "8x8",
-        "--router",
-        "busch2d",
-        "--steps",
-        "10",
-        "--procs",
-        "2",
-        "--threads",
-        "4",
-        "--checkpoint-dir",
-        "/tmp/oblivion-unused",
-    ]);
-    assert_clean_failure(&out, "--procs with --threads");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"),
-        "error should say the flags conflict"
-    );
-    // Multi-process runs need the snapshot machinery for recovery.
-    let out = oblivion(&[
-        "online", "--mesh", "8x8", "--router", "busch2d", "--steps", "10", "--procs", "2",
-    ]);
-    assert_clean_failure(&out, "--procs 2 without --checkpoint-dir");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--checkpoint-dir"),
-        "error should point at the missing --checkpoint-dir"
-    );
+    assert!(!ckpt.exists(), "refused run created its checkpoint dir");
+    assert!(!metrics.exists(), "refused run wrote its metrics file");
 }
 
 #[test]

@@ -166,58 +166,6 @@ fn online_metrics_identical_across_thread_counts_3d() {
     }
 }
 
-/// The multi-process engine extends the contract across process
-/// boundaries: `--procs N` (supervisor + N workers over pipes) produces
-/// the same deterministic metrics and RunReport as the thread engine,
-/// including the obs that workers emit while resampling around faults
-/// and ship home in their DONE messages.
-#[test]
-fn online_metrics_identical_across_process_counts() {
-    let base = [
-        "online",
-        "--mesh",
-        "8x8",
-        "--router",
-        "buschd",
-        "--rate",
-        "0.08",
-        "--steps",
-        "80",
-        "--seed",
-        "21",
-        "--fault-links",
-        "0.08",
-        "--fault-mode",
-        "transient",
-        "--recovery",
-        "resample",
-    ];
-    let reference = online_with_threads("procs_ref", &base, "1");
-    for procs in ["1", "2", "4"] {
-        let tag = format!("oblivion_det_procs_{procs}_{}", std::process::id());
-        let ckpt = std::env::temp_dir().join(&tag);
-        let _ = std::fs::remove_dir_all(&ckpt);
-        std::fs::create_dir_all(&ckpt).unwrap();
-        let out = std::env::temp_dir().join(format!("{tag}.json"));
-        let ckpt_s = ckpt.to_str().unwrap().to_string();
-        let mut args: Vec<&str> = base.to_vec();
-        args.extend_from_slice(&["--procs", procs, "--checkpoint-dir", &ckpt_s]);
-        run_metered(&args, &out);
-        assert_eq!(
-            reference.0,
-            deterministic_lines(&out),
-            "--procs {procs} changed deterministic metrics lines"
-        );
-        assert_eq!(
-            reference.1,
-            report_line(&out),
-            "--procs {procs} changed the RunReport byte-for-byte"
-        );
-        let _ = std::fs::remove_file(&out);
-        let _ = std::fs::remove_dir_all(&ckpt);
-    }
-}
-
 /// Fault-injected runs obey the same thread-count contract: the fault
 /// plan is a pure function of (mesh, fault seed), recovery decisions are
 /// made identically in both engines, and every tally is an order-free
