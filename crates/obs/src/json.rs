@@ -325,12 +325,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is valid UTF-8 by
-                // construction: it came from a &str).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of plain bytes up to the next quote
+                // or backslash as one slice. Both are ASCII, so the run
+                // ends on a char boundary of the (valid UTF-8) input.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|e| e.to_string())?);
+                *pos = run;
             }
         }
     }
@@ -448,6 +451,20 @@ mod tests {
         assert!(Json::parse("{}x").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    /// A 4 MiB string value parses in linear time: each run of plain
+    /// bytes is copied as one slice, not re-validated per character.
+    #[test]
+    fn four_mib_string_values_parse() {
+        let value = "é".repeat(1 << 20) + &"x".repeat(2 << 20);
+        assert_eq!(value.len(), 4 << 20);
+        let text = format!("{{\"name\":\"{value}\\n\\u0041\",\"value\":1}}");
+        let j = Json::parse(&text).unwrap();
+        let got = j.get("name").unwrap().as_str().unwrap();
+        assert_eq!(got.len(), value.len() + 2);
+        assert!(got.starts_with(&value) && got.ends_with("\nA"));
+        assert_eq!(j.get("value").unwrap().as_u64(), Some(1));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -38,7 +38,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 ///
 /// Bucket 0 counts exact zeros; bucket `i >= 1` counts values in
 /// `[2^(i-1), 2^i)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Number of observations.
     pub count: u64,
@@ -165,9 +165,15 @@ struct Registry {
     capture_events: bool,
 }
 
-fn registry() -> &'static Mutex<Registry> {
+/// Locks the process-global registry. A panic while the lock was held
+/// (only possible mid-update in another thread) leaves plain counters
+/// behind, so a poisoned lock is taken over rather than propagated.
+fn registry() -> MutexGuard<'static, Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
+    REGISTRY
+        .get_or_init(|| Mutex::new(Registry::default()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
 thread_local! {
@@ -180,7 +186,7 @@ pub fn counter_add(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     *reg.counters.entry(name).or_insert(0) += delta;
 }
 
@@ -198,7 +204,7 @@ pub fn runtime_counter_add(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     *reg.runtime_counters.entry(name).or_insert(0) += delta;
 }
 
@@ -208,7 +214,7 @@ pub fn record(name: &'static str, value: u64) {
     if !is_enabled() {
         return;
     }
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     reg.histograms.entry(name).or_default().record(value);
 }
 
@@ -225,11 +231,25 @@ pub fn record_runtime(name: &'static str, value: u64) {
     if !is_enabled() {
         return;
     }
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     reg.runtime_histograms
         .entry(name)
         .or_default()
         .record(value);
+}
+
+/// Folds a whole histogram into a named **runtime histogram**, as if
+/// each of its observations had been recorded there. No-op when
+/// disabled or when `hist` is empty (no observation, no series).
+pub fn record_runtime_histogram(name: &'static str, hist: &Histogram) {
+    if !is_enabled() || hist.count == 0 {
+        return;
+    }
+    registry()
+        .runtime_histograms
+        .entry(name)
+        .or_default()
+        .merge(hist);
 }
 
 /// Sets a named gauge to an absolute level. No-op when disabled.
@@ -243,70 +263,8 @@ pub fn gauge_set(name: &'static str, value: i64) {
     if !is_enabled() {
         return;
     }
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     reg.gauges.insert(name, value);
-}
-
-/// Adds `delta` (possibly negative) to a named gauge. No-op when
-/// disabled.
-#[inline]
-pub fn gauge_add(name: &'static str, delta: i64) {
-    if !is_enabled() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap();
-    *reg.gauges.entry(name).or_insert(0) += delta;
-}
-
-/// A write handle over the registry held open for one atomic batch; see
-/// [`update`].
-pub struct Batch<'a> {
-    reg: &'a mut Registry,
-}
-
-impl Batch<'_> {
-    /// Adds to a counter within the batch.
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        *self.reg.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Adds to a gauge within the batch.
-    pub fn gauge_add(&mut self, name: &'static str, delta: i64) {
-        *self.reg.gauges.entry(name).or_insert(0) += delta;
-    }
-
-    /// Sets a gauge within the batch.
-    pub fn gauge_set(&mut self, name: &'static str, value: i64) {
-        self.reg.gauges.insert(name, value);
-    }
-
-    /// Records into a histogram within the batch.
-    pub fn record(&mut self, name: &'static str, value: u64) {
-        self.reg.histograms.entry(name).or_default().record(value);
-    }
-
-    /// Records into a runtime histogram within the batch.
-    pub fn record_runtime(&mut self, name: &'static str, value: u64) {
-        self.reg
-            .runtime_histograms
-            .entry(name)
-            .or_default()
-            .record(value);
-    }
-}
-
-/// Applies several registry updates as one atomic transition: the whole
-/// closure runs under the registry lock, so a concurrent [`snapshot`]
-/// sees either none or all of its effects. This is how writers maintain
-/// cross-metric invariants (conservation laws) that a reader may check.
-/// No-op when disabled.
-#[inline]
-pub fn update(f: impl FnOnce(&mut Batch<'_>)) {
-    if !is_enabled() {
-        return;
-    }
-    let mut reg = registry().lock().unwrap();
-    f(&mut Batch { reg: &mut reg });
 }
 
 /// An RAII span: measures wall-clock time from creation to drop and
@@ -348,7 +306,7 @@ impl Drop for SpanGuard {
             stack.pop();
             path
         });
-        let mut reg = registry().lock().unwrap();
+        let mut reg = registry();
         let stats = reg.spans.entry(path.clone()).or_default();
         stats.count += 1;
         stats.total_ns += elapsed_ns;
@@ -368,15 +326,14 @@ impl Drop for SpanGuard {
 /// Starts capturing one JSON-lines event per span closure (implies the
 /// cost of formatting each event; used by `--trace`).
 pub fn capture_events(on: bool) {
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     reg.capture_events = on;
 }
 
 /// A point-in-time copy of the whole registry.
 ///
-/// Taken under the registry lock, so it is *consistent*: every update
-/// applied through one [`update`] batch is either fully visible or not
-/// visible at all.
+/// Taken under the registry lock, so it is *consistent*: no single
+/// update is ever half visible.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter values by name.
@@ -397,7 +354,7 @@ pub struct Snapshot {
 
 /// Copies the current registry contents (sorted by name — deterministic).
 pub fn snapshot() -> Snapshot {
-    let reg = registry().lock().unwrap();
+    let reg = registry();
     Snapshot {
         counters: reg
             .counters
@@ -447,7 +404,7 @@ pub fn snapshot() -> Snapshot {
 /// names are interned with `Box::leak` (bounded — at most one restore
 /// per process resume).
 pub fn restore_deterministic(counters: &[(String, u64)], histograms: &[(String, Histogram)]) {
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     reg.counters = counters
         .iter()
         .map(|(k, v)| (&*Box::leak(k.clone().into_boxed_str()), *v))
@@ -461,7 +418,7 @@ pub fn restore_deterministic(counters: &[(String, u64)], histograms: &[(String, 
 /// Clears all counters, gauges, histograms, spans, and captured events.
 /// The enabled flag and event-capture setting are unchanged.
 pub fn reset() {
-    let mut reg = registry().lock().unwrap();
+    let mut reg = registry();
     reg.counters.clear();
     reg.runtime_counters.clear();
     reg.gauges.clear();
@@ -537,13 +494,13 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_add() {
+    fn gauges_hold_the_last_level_set() {
         let _guard = serial();
         enable();
         reset();
         gauge_set("depth", 7);
-        gauge_add("depth", -3);
-        gauge_add("inflight", 2);
+        gauge_set("depth", 4);
+        gauge_set("inflight", 2);
         let snap = snapshot();
         disable();
         assert_eq!(
@@ -571,33 +528,51 @@ mod tests {
     }
 
     #[test]
-    fn update_batch_is_atomic_under_the_lock() {
+    fn whole_histograms_fold_into_runtime_histograms() {
         let _guard = serial();
         enable();
         reset();
-        update(|b| {
-            b.counter_add("accepted", 1);
-            b.gauge_add("in_flight", 1);
-            b.record("h", 5);
-            b.record_runtime("rt", 9);
-        });
-        update(|b| {
-            b.counter_add("completed", 1);
-            b.gauge_add("in_flight", -1);
-            b.gauge_set("queue", 0);
-        });
+        let mut h = Histogram::new();
+        for v in [3u64, 40, 500] {
+            h.record(v);
+        }
+        record_runtime("phase_us", 7);
+        record_runtime_histogram("phase_us", &h);
+        record_runtime_histogram("empty_us", &Histogram::new());
         let snap = snapshot();
         disable();
+        record_runtime_histogram("disabled_us", &h);
+        assert!(snap.histograms.is_empty());
         assert_eq!(
-            snap.counters,
-            vec![("accepted".to_string(), 1), ("completed".to_string(), 1)]
+            snap.runtime_histograms.len(),
+            1,
+            "an empty fold adds no series"
         );
-        assert_eq!(
-            snap.gauges,
-            vec![("in_flight".to_string(), 0), ("queue".to_string(), 0)]
-        );
-        assert_eq!(snap.histograms[0].1.count, 1);
-        assert_eq!(snap.runtime_histograms[0].1.count, 1);
+        let (name, got) = &snap.runtime_histograms[0];
+        assert_eq!(name, "phase_us");
+        let mut want = h.clone();
+        want.record(7);
+        assert_eq!(got, &want);
+        assert!(snapshot()
+            .runtime_histograms
+            .iter()
+            .all(|(n, _)| n != "disabled_us"));
+    }
+
+    #[test]
+    fn a_poisoned_registry_keeps_counting() {
+        let _guard = serial();
+        enable();
+        reset();
+        let _ = std::thread::spawn(|| {
+            let _reg = registry();
+            panic!("poison the registry lock");
+        })
+        .join();
+        counter_add("after_poison", 1);
+        let snap = snapshot();
+        disable();
+        assert_eq!(snap.counters, vec![("after_poison".to_string(), 1)]);
     }
 
     #[test]

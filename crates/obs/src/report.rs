@@ -154,8 +154,10 @@ pub fn histogram_json(kind: &str, name: &str, hist: &Histogram) -> Json {
 
 /// Rebuilds a [`Histogram`] from a serialized histogram line (the inverse
 /// of [`histogram_json`]), so renderers can compute quantiles from a
-/// parsed metrics file. Returns `None` when the object is missing fields
-/// or a bucket does not sit on a power-of-two boundary.
+/// parsed metrics file. Returns `None` when the object is missing fields,
+/// a bucket does not sit on a power-of-two boundary, a non-empty
+/// histogram has `min > max`, or the bucket counts overflow or do not
+/// sum to `count` — anything [`Histogram::quantile`] could not answer.
 pub fn histogram_from_json(h: &Json) -> Option<Histogram> {
     let mut hist = Histogram::new();
     hist.count = h.get("count")?.as_u64()?;
@@ -169,6 +171,7 @@ pub fn histogram_from_json(h: &Json) -> Option<Histogram> {
     let Some(Json::Arr(buckets)) = h.get("buckets") else {
         return None;
     };
+    let mut total = 0u64;
     for b in buckets {
         let lo = b.get("lo")?.as_u64()?;
         let n = b.get("count")?.as_u64()?;
@@ -176,9 +179,11 @@ pub fn histogram_from_json(h: &Json) -> Option<Histogram> {
         if idx >= HISTOGRAM_BUCKETS || Histogram::bucket_range(idx).0 != lo {
             return None;
         }
-        hist.buckets[idx] += n;
+        total = total.checked_add(n)?;
+        hist.buckets[idx] += n; // <= total, so it cannot overflow either
     }
-    Some(hist)
+    let bounds_ok = hist.count == 0 || hist.min <= hist.max;
+    (bounds_ok && total == hist.count).then_some(hist)
 }
 
 /// The schema version of each `"report"` line in a parsed document, in
@@ -512,6 +517,33 @@ mod tests {
         assert_eq!(back.max, h.max);
         assert_eq!(back.buckets, h.buckets);
         assert_eq!(back.quantile(0.5), h.quantile(0.5));
+    }
+
+    /// Lines no quantile can be computed from are refused, not
+    /// rebuilt: `min > max` would panic in the clamp, and buckets that
+    /// overflow or miss `count` would report a rank that is not there.
+    #[test]
+    fn inconsistent_histogram_lines_are_refused() {
+        let parse = |line: &str| histogram_from_json(&Json::parse(line).unwrap());
+        let ok = r#"{"count":3,"sum":9,"min":2,"max":3,"buckets":[{"lo":2,"hi":3,"count":3}]}"#;
+        assert!(parse(ok).is_some());
+        let min_above_max =
+            r#"{"count":3,"sum":9,"min":10,"max":5,"buckets":[{"lo":2,"hi":3,"count":3}]}"#;
+        assert!(parse(min_above_max).is_none());
+        let short = r#"{"count":4,"sum":9,"min":2,"max":3,"buckets":[{"lo":2,"hi":3,"count":3}]}"#;
+        assert!(parse(short).is_none());
+        let overflow = format!(
+            r#"{{"count":3,"sum":9,"min":2,"max":3,"buckets":[{{"lo":2,"hi":3,"count":{m}}},{{"lo":2,"hi":3,"count":4}}]}}"#,
+            m = u64::MAX
+        );
+        assert!(parse(&overflow).is_none());
+        let empty = r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#;
+        assert!(parse(empty).is_some());
+        // The renderer drops the quantiles of a refused line instead of
+        // panicking.
+        let mut out = String::new();
+        render_histogram(&mut out, &Json::parse(min_above_max).unwrap(), "hist");
+        assert!(!out.contains("p50"), "{out}");
     }
 
     #[test]

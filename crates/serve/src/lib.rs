@@ -62,7 +62,7 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosPlan};
 pub use client::{Client, ClientError};
 pub use loadgen::{run_loadgen, tenant_of, HedgeAfter, LoadgenConfig, LoadgenReport, TenantLoad};
-pub use metrics::{parse_exposition, render_exposition, Exposition};
+pub use metrics::{parse_exposition, render_exposition};
 pub use registry::{Registry, Resolved, RouterHandle, Tenant};
 pub use server::{run, run_registry, Control, ServeConfig, ServeSummary};
 pub use stats::{ChaosEvent, Phase, ServeStats, StatsSnapshot, TenantSnapshot};

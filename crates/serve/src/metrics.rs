@@ -1,13 +1,13 @@
 //! The `METRICS` text exposition: a Prometheus-style rendering of a
-//! [`StatsSnapshot`], plus the parser and conservation validator the
-//! `oblivion top` viewer, the scrape-under-load soak test, and the CI
-//! gate share.
+//! [`StatsSnapshot`], and its exact inverse, the parser that `oblivion
+//! top`, the scrape-under-load soak tests and the CI gates share.
 //!
 //! Grammar (a strict subset of the Prometheus text format):
 //!
 //! ```text
 //! # TYPE <name> counter|gauge|histogram
 //! <name> <integer>                        (counter/gauge samples)
+//! <name>{mesh="<id>"} <integer>           (per-tenant samples)
 //! <name>_bucket{le="<edge>"} <cum-count>  (histogram, cumulative)
 //! <name>_bucket{le="+Inf"} <count>
 //! <name>_sum <integer>
@@ -17,83 +17,57 @@
 //!
 //! The final `# EOF` line doubles as a truncation guard: a scrape that
 //! lost its tail (killed server, cut socket) fails the parse instead of
-//! passing with quietly missing series. Because the snapshot behind the
-//! exposition is transition-consistent (see [`crate::stats`]), every
-//! successful scrape satisfies [`Exposition::check_conservation`] — even
-//! one taken mid-stampede.
+//! passing with quietly missing series. Every series the renderer
+//! always writes must be present, so a parsed scrape is a whole
+//! [`StatsSnapshot`] and the law is checked by
+//! [`StatsSnapshot::check_conservation`], the same method that checks a
+//! live ledger. Because the snapshot behind the exposition is
+//! transition-consistent (see [`crate::stats`]), every successful
+//! scrape conserves — even one taken mid-stampede.
 
-use crate::stats::{Phase, StatsSnapshot, TenantSnapshot};
+use crate::stats::{Series, StatsSnapshot, TenantSnapshot};
 use oblivion_obs::Histogram;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 use std::time::Duration;
 
-/// Prefix every exposed series name carries.
-const PREFIX: &str = "oblivion_serve_";
+/// The uptime gauge, outside the snapshot: scrapers turn cumulative
+/// counters into rates with it, without wall-clock math of their own.
+const UPTIME: &str = "serve_uptime_ms";
 
 /// Renders the exposition for one snapshot. `uptime` becomes the
-/// `oblivion_serve_uptime_ms` gauge so scrapers can turn cumulative
-/// counters into rates without wall-clock math of their own.
+/// `oblivion_serve_uptime_ms` gauge.
 pub fn render_exposition(snap: &StatsSnapshot, uptime: Duration) -> String {
     let mut out = String::new();
-    for (name, value) in snap.obs_counters() {
-        let series = name.strip_prefix("serve_").unwrap_or(name);
-        let _ = writeln!(out, "# TYPE {PREFIX}{series} counter");
-        let _ = writeln!(out, "{PREFIX}{series} {value}");
+    let mut scalar = |kind: &str, name: &str, value: &dyn Display| {
+        let _ = writeln!(out, "# TYPE oblivion_{name} {kind}");
+        let _ = writeln!(out, "oblivion_{name} {value}");
+    };
+    for c in &StatsSnapshot::COUNTERS {
+        scalar("counter", c.name, &(c.get)(snap));
     }
-    for (series, value) in [
-        ("queue_depth", snap.queue_depth),
-        ("in_flight", snap.in_flight),
-        ("connections", snap.connections),
-        ("open_conns", snap.open_conns),
-        ("max_queue_depth", snap.max_queue_depth as i64),
-        ("uptime_ms", uptime.as_millis().min(i64::MAX as u128) as i64),
-    ] {
-        let _ = writeln!(out, "# TYPE {PREFIX}{series} gauge");
-        let _ = writeln!(out, "{PREFIX}{series} {value}");
+    for g in &StatsSnapshot::GAUGES {
+        scalar("gauge", g.name, &(g.get)(snap));
     }
+    let uptime_ms = uptime.as_millis().min(i64::MAX as u128) as i64;
+    scalar("gauge", UPTIME, &uptime_ms);
     // Per-tenant rows, one `{mesh="<id>"}` labeled sample per tenant
-    // under a shared TYPE declaration. `mesh_state_bytes` is the
-    // registry's accounted routing-state footprint — the memory price
-    // of keeping that mesh registered, in the compact-routing spirit of
-    // measuring state, not assuming it.
+    // under a shared TYPE declaration.
     if !snap.tenants.is_empty() {
-        type TenantCounter = fn(&TenantSnapshot) -> u64;
-        let series: [(&str, TenantCounter); 8] = [
-            ("tenant_accepted", |t| t.accepted),
-            ("tenant_completed", |t| t.completed),
-            ("tenant_bad_request", |t| t.bad_request),
-            ("tenant_shed_overloaded", |t| t.shed_overloaded),
-            ("tenant_deadline_exceeded", |t| t.deadline_exceeded),
-            ("tenant_drain_rejected", |t| t.drain_rejected),
-            ("tenant_io_errors", |t| t.io_errors),
-            ("tenant_mesh_retired", |t| t.mesh_retired),
-        ];
-        for (name, get) in series {
-            let _ = writeln!(out, "# TYPE {PREFIX}{name} counter");
-            for t in &snap.tenants {
-                let _ = writeln!(out, "{PREFIX}{name}{{mesh=\"{}\"}} {}", t.id, get(t));
-            }
+        for c in &TenantSnapshot::COUNTERS {
+            render_tenant_series(&mut out, "counter", c, &snap.tenants);
         }
-        let _ = writeln!(out, "# TYPE {PREFIX}tenant_in_flight gauge");
-        for t in &snap.tenants {
-            let _ = writeln!(
-                out,
-                "{PREFIX}tenant_in_flight{{mesh=\"{}\"}} {}",
-                t.id, t.in_flight
-            );
-        }
-        let _ = writeln!(out, "# TYPE {PREFIX}mesh_state_bytes gauge");
-        for t in &snap.tenants {
-            let _ = writeln!(
-                out,
-                "{PREFIX}mesh_state_bytes{{mesh=\"{}\"}} {}",
-                t.id, t.state_bytes
-            );
-        }
+        render_tenant_series(&mut out, "gauge", &TenantSnapshot::IN_FLIGHT, &snap.tenants);
+        render_tenant_series(
+            &mut out,
+            "gauge",
+            &TenantSnapshot::STATE_BYTES,
+            &snap.tenants,
+        );
     }
     for (phase, hist) in &snap.phases {
-        let name = format!("{PREFIX}phase_{phase}_us");
+        let name = format!("oblivion_serve_phase_{phase}_us");
         let _ = writeln!(out, "# TYPE {name} histogram");
         let mut cum = 0u64;
         for (i, &count) in hist.buckets.iter().enumerate() {
@@ -112,266 +86,147 @@ pub fn render_exposition(snap: &StatsSnapshot, uptime: Duration) -> String {
     out
 }
 
-/// One parsed histogram series.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramSeries {
-    /// `(le edge, cumulative count)` rows in file order; the `+Inf` row
-    /// is stored as `u64::MAX`.
-    pub buckets: Vec<(u64, u64)>,
-    /// The `_sum` sample.
-    pub sum: u64,
-    /// The `_count` sample.
-    pub count: u64,
+fn render_tenant_series<T: Display>(
+    out: &mut String,
+    kind: &str,
+    series: &Series<TenantSnapshot, T>,
+    tenants: &[TenantSnapshot],
+) {
+    let name = series.name;
+    let _ = writeln!(out, "# TYPE oblivion_{name} {kind}");
+    for t in tenants {
+        let _ = writeln!(
+            out,
+            "oblivion_{name}{{mesh=\"{}\"}} {}",
+            t.id,
+            (series.get)(t)
+        );
+    }
 }
 
-/// A parsed `METRICS` exposition.
-#[derive(Debug, Clone, Default)]
-pub struct Exposition {
-    /// Counter samples by full series name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge samples by full series name.
-    pub gauges: BTreeMap<String, i64>,
-    /// Histogram series by full series name.
-    pub histograms: BTreeMap<String, HistogramSeries>,
+/// A declared `# TYPE`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
 }
 
-impl Exposition {
-    fn counter(&self, series: &str) -> Result<u64, String> {
-        self.counters
-            .get(&format!("{PREFIX}{series}"))
-            .copied()
-            .ok_or_else(|| format!("exposition is missing counter {PREFIX}{series}"))
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
     }
+}
 
-    fn gauge(&self, series: &str) -> Result<i64, String> {
-        self.gauges
-            .get(&format!("{PREFIX}{series}"))
-            .copied()
-            .ok_or_else(|| format!("exposition is missing gauge {PREFIX}{series}"))
-    }
+/// The raw samples of one scrape, consumed as the snapshot is
+/// assembled: whatever is left over names no serve series.
+#[derive(Default)]
+struct Samples<'a> {
+    /// Full sample name (labels included) → declared kind, line number
+    /// and value text, parsed into its series' type on assembly.
+    scalars: BTreeMap<&'a str, (Kind, usize, &'a str)>,
+    /// Histogram name → `(le edge, cumulative count)` bucket rows in
+    /// file order (`+Inf` as `None`).
+    buckets: BTreeMap<&'a str, Vec<(Option<u64>, u64)>>,
+}
 
-    /// The live conservation law over a scraped exposition:
-    /// `accepted = completed + bad + shed + deadline + drain + io +
-    /// unknown_mesh + mesh_retired + connections`, gauges non-negative,
-    /// every per-phase histogram count `<= accepted` — plus, when
-    /// per-tenant rows are present, each tenant's own law
-    /// `accepted_t = settled_t + in_flight_t` and the cross-law bound
-    /// `sum(accepted_t) <= accepted`. Returns a diagnosis of the first
-    /// violated clause.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        let accepted = self.counter("accepted")?;
-        let settled = self.counter("completed")?
-            + self.counter("bad_request")?
-            + self.counter("shed_overloaded")?
-            + self.counter("deadline_exceeded")?
-            + self.counter("drain_rejected")?
-            + self.counter("io_errors")?
-            + self.counter("unknown_mesh")?
-            + self.counter("mesh_retired")?;
-        let connections = self.gauge("connections")?;
-        for g in ["queue_depth", "in_flight", "connections"] {
-            let v = self.gauge(g)?;
-            if v < 0 {
-                return Err(format!("gauge {PREFIX}{g} is negative: {v}"));
-            }
-        }
-        // Socket churn rides outside the law but must balance itself
-        // (tolerating pre-churn-telemetry expositions with no series).
-        if let (Ok(opened), Ok(closed), Ok(open)) = (
-            self.counter("conns_opened"),
-            self.counter("conns_closed"),
-            self.gauge("open_conns"),
-        ) {
-            if open < 0 || opened != closed + open as u64 {
-                return Err(format!(
-                    "connection churn violated: opened {opened} != closed {closed} \
-                     + open {open}"
-                ));
-            }
-        }
-        // Chaos injection is bookkeeping outside the law, but it has
-        // its own sanity bound: a reset kills a whole connection, so
-        // resets can never exceed the sockets ever opened (tolerating
-        // pre-chaos expositions with no series).
-        if let (Ok(resets), Ok(opened)) =
-            (self.counter("chaos_resets"), self.counter("conns_opened"))
-        {
-            if resets > opened {
-                return Err(format!(
-                    "chaos resets {resets} exceed connections opened {opened}"
-                ));
-            }
-        }
-        if accepted != settled + connections as u64 {
+impl Samples<'_> {
+    fn take<T: FromStr>(&mut self, kind: Kind, name: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let missing = || format!("exposition is missing {} {name}", kind.name());
+        let (declared, line, value) = self.scalars.remove(name).ok_or_else(missing)?;
+        if declared != kind {
             return Err(format!(
-                "conservation violated: accepted {accepted} != settled {settled} \
-                 + connections {connections}"
+                "line {line}: {name} is declared a {}",
+                declared.name()
             ));
         }
-        // Per-tenant laws: each tenant ledger conserves on its own, and
-        // tenant attribution never claims more than the global ledger
-        // admitted (a line is attributed at parse time, strictly after
-        // its connection was admitted at frame time).
-        let mut tenant_accepted_sum = 0u64;
-        for id in self.tenant_ids() {
-            let t_accepted = self.tenant_counter("tenant_accepted", &id)?;
-            let t_settled = self.tenant_counter("tenant_completed", &id)?
-                + self.tenant_counter("tenant_bad_request", &id)?
-                + self.tenant_counter("tenant_shed_overloaded", &id)?
-                + self.tenant_counter("tenant_deadline_exceeded", &id)?
-                + self.tenant_counter("tenant_drain_rejected", &id)?
-                + self.tenant_counter("tenant_io_errors", &id)?
-                + self.tenant_counter("tenant_mesh_retired", &id)?;
-            let t_in_flight = self.tenant_gauge("tenant_in_flight", &id)?;
-            if t_in_flight < 0 {
-                return Err(format!("tenant {id} in_flight is negative: {t_in_flight}"));
-            }
-            if t_accepted != t_settled + t_in_flight as u64 {
-                return Err(format!(
-                    "tenant {id} conservation violated: accepted {t_accepted} != \
-                     settled {t_settled} + in_flight {t_in_flight}"
-                ));
-            }
-            tenant_accepted_sum += t_accepted;
-        }
-        if tenant_accepted_sum > accepted {
-            return Err(format!(
-                "tenant ledgers over-claim: sum of tenant accepted \
-                 {tenant_accepted_sum} exceeds global accepted {accepted}"
-            ));
-        }
-        for phase in Phase::ALL {
-            let name = format!("{PREFIX}phase_{}_us", phase.name());
-            let h = self
-                .histograms
-                .get(&name)
-                .ok_or_else(|| format!("exposition is missing histogram {name}"))?;
-            if h.count > accepted {
-                return Err(format!(
-                    "phase histogram {name} count {} exceeds accepted {accepted}",
-                    h.count
-                ));
-            }
-            if let Some(&(_, last_cum)) = h.buckets.last() {
-                if last_cum != h.count {
-                    return Err(format!(
-                        "histogram {name} +Inf bucket {last_cum} != count {}",
-                        h.count
-                    ));
-                }
-            }
-        }
+        value
+            .parse()
+            .map_err(|e| format!("line {line}: bad {name} value `{value}`: {e}"))
+    }
+
+    /// Parses one series sample (with its `{mesh="<id>"}` label, if
+    /// any) into its field of `s`.
+    fn series<S, T: FromStr>(
+        &mut self,
+        kind: Kind,
+        s: &mut S,
+        series: &Series<S, T>,
+        label: &str,
+    ) -> Result<(), String>
+    where
+        T::Err: Display,
+    {
+        let value = self.take(kind, &format!("oblivion_{}{label}", series.name))?;
+        (series.set)(s, value);
         Ok(())
     }
 
-    /// Convenience accessors for renderers: `(accepted, completed, shed
-    /// total, queue_depth, in_flight)`.
-    pub fn headline(&self) -> Result<(u64, u64, u64, i64, i64), String> {
-        Ok((
-            self.counter("accepted")?,
-            self.counter("completed")?,
-            self.counter("shed_overloaded")?
-                + self.counter("deadline_exceeded")?
-                + self.counter("drain_rejected")?,
-            self.gauge("queue_depth")?,
-            self.gauge("in_flight")?,
-        ))
-    }
-
-    /// The uptime gauge, if present.
-    pub fn uptime_ms(&self) -> Option<i64> {
-        self.gauges.get(&format!("{PREFIX}uptime_ms")).copied()
-    }
-
-    /// Mesh ids that have per-tenant rows in this exposition, sorted
-    /// (empty on a single-tenant server with no labeled traffic yet).
-    pub fn tenant_ids(&self) -> Vec<String> {
-        let pre = format!("{PREFIX}tenant_accepted{{mesh=\"");
-        self.counters
-            .keys()
-            .filter_map(|k| {
-                Some(
-                    k.strip_prefix(pre.as_str())?
-                        .strip_suffix("\"}")?
-                        .to_string(),
-                )
-            })
-            .collect()
-    }
-
-    /// A per-tenant counter sample by short series name (e.g.
-    /// `tenant_completed`) and mesh id.
-    pub fn tenant_counter(&self, series: &str, id: &str) -> Result<u64, String> {
-        let name = format!("{PREFIX}{series}{{mesh=\"{id}\"}}");
-        self.counters
-            .get(&name)
-            .copied()
-            .ok_or_else(|| format!("exposition is missing counter {name}"))
-    }
-
-    /// A per-tenant gauge sample (`tenant_in_flight`,
-    /// `mesh_state_bytes`) by mesh id.
-    pub fn tenant_gauge(&self, series: &str, id: &str) -> Result<i64, String> {
-        let name = format!("{PREFIX}{series}{{mesh=\"{id}\"}}");
-        self.gauges
-            .get(&name)
-            .copied()
-            .ok_or_else(|| format!("exposition is missing gauge {name}"))
-    }
-
-    /// A gauge by short series name (without the `oblivion_serve_`
-    /// prefix), defaulting to zero when absent — for renderers that
-    /// prefer a blank-ish value over failing the whole frame.
-    pub fn gauge_or_zero(&self, series: &str) -> i64 {
-        self.gauge(series).unwrap_or(0)
-    }
-
-    /// A phase histogram's `(p50, p99, count)` in microseconds,
-    /// reconstructed from the cumulative buckets.
-    pub fn phase_quantiles(&self, phase: Phase) -> Option<(u64, u64, u64)> {
-        let h = self
-            .histograms
-            .get(&format!("{PREFIX}phase_{}_us", phase.name()))?;
-        let hist = h.to_histogram()?;
-        Some((hist.quantile(0.50), hist.quantile(0.99), hist.count))
-    }
-}
-
-impl HistogramSeries {
-    /// Rebuilds a bucketed [`Histogram`] from the cumulative series
-    /// (min/max degrade to bucket edges — quantiles stay exact at
-    /// bucket granularity).
-    pub fn to_histogram(&self) -> Option<Histogram> {
+    /// Rebuilds one phase histogram from its cumulative bucket rows.
+    /// Every finite edge must be a bucket's upper edge, edges strictly
+    /// increase, counts never decrease, and the last finite row, the
+    /// `+Inf` row and `_count` agree. `min`/`max` are not on the wire;
+    /// they degrade to the edges of the outermost non-empty buckets, so
+    /// quantiles stay exact at bucket granularity.
+    fn histogram(&mut self, name: &str) -> Result<Histogram, String> {
+        let rows = self
+            .buckets
+            .remove(name)
+            .ok_or_else(|| format!("exposition is missing histogram {name}"))?;
         let mut hist = Histogram::new();
-        hist.count = self.count;
-        hist.sum = self.sum;
-        let mut prev = 0u64;
-        for &(hi, cum) in &self.buckets {
-            if hi == u64::MAX {
-                continue;
-            }
-            let n = cum.checked_sub(prev)?;
-            prev = cum;
-            if n == 0 {
-                continue;
-            }
+        hist.sum = self.take(Kind::Histogram, &format!("{name}_sum"))?;
+        hist.count = self.take(Kind::Histogram, &format!("{name}_count"))?;
+        let Some((&(None, inf), finite)) = rows.split_last() else {
+            return Err(format!("histogram {name} does not end in a +Inf bucket"));
+        };
+        let (mut prev_edge, mut prev_cum) = (None, 0u64);
+        for &(edge, cum) in finite {
+            // `None` (+Inf) sorts below every edge, so this also refuses
+            // a second +Inf row.
+            let (Some(hi), true) = (edge, edge > prev_edge) else {
+                return Err(format!("histogram {name} bucket edges do not increase"));
+            };
             let idx = Histogram::bucket_of(hi);
-            if Histogram::bucket_range(idx).1 != hi {
-                return None;
+            let (lo, edge_hi) = Histogram::bucket_range(idx);
+            if edge_hi != hi {
+                return Err(format!("histogram {name} has a bad bucket edge {hi}"));
             }
-            hist.buckets[idx] += n;
-            let (lo, _) = Histogram::bucket_range(idx);
-            hist.min = hist.min.min(lo);
-            hist.max = hist.max.max(hi);
+            let n = cum
+                .checked_sub(prev_cum)
+                .ok_or_else(|| format!("histogram {name} buckets are not cumulative"))?;
+            (prev_edge, prev_cum) = (Some(hi), cum);
+            if n > 0 {
+                hist.buckets[idx] = n;
+                hist.min = hist.min.min(lo);
+                hist.max = hi;
+            }
         }
-        Some(hist)
+        if inf != hist.count || prev_cum != hist.count {
+            return Err(format!(
+                "histogram {name} +Inf bucket {inf} (finite total {prev_cum}) != count {}",
+                hist.count
+            ));
+        }
+        Ok(hist)
     }
 }
 
-/// Parses a `METRICS` exposition, requiring the `# EOF` terminator.
-pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
-    let mut exp = Exposition::default();
-    let mut kinds: BTreeMap<String, &str> = BTreeMap::new();
+/// Parses a `METRICS` exposition back into the snapshot and uptime it
+/// was rendered from — the exact inverse of [`render_exposition`], up
+/// to histogram `min`/`max`, which the format does not carry. Rejects a
+/// missing `# EOF` terminator (or trailing newline), samples without a
+/// `# TYPE` declaration, unknown or duplicate samples, any series the
+/// renderer always writes, and malformed histograms.
+pub fn parse_exposition(text: &str) -> Result<(StatsSnapshot, Duration), String> {
+    let mut samples = Samples::default();
+    let mut kinds: BTreeMap<&str, Kind> = BTreeMap::new();
     let mut saw_eof = false;
     for (idx, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -392,12 +247,12 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
                 return Err(at("malformed # TYPE line"));
             };
             let kind = match kind {
-                "counter" => "counter",
-                "gauge" => "gauge",
-                "histogram" => "histogram",
+                "counter" => Kind::Counter,
+                "gauge" => Kind::Gauge,
+                "histogram" => Kind::Histogram,
                 other => return Err(at(&format!("unknown series type `{other}`"))),
             };
-            kinds.insert(name.to_string(), kind);
+            kinds.insert(name, kind);
             continue;
         }
         if line.starts_with('#') {
@@ -407,171 +262,222 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
             .rsplit_once(' ')
             .ok_or_else(|| at("sample line without a value"))?;
         if let Some((series, label)) = name.split_once("_bucket{le=\"") {
-            let edge = label
-                .strip_suffix("\"}")
-                .ok_or_else(|| at("malformed le label"))?;
-            let edge = if edge == "+Inf" {
-                u64::MAX
-            } else {
-                edge.parse::<u64>()
-                    .map_err(|e| at(&format!("bad le edge: {e}")))?
+            if kinds.get(series) != Some(&Kind::Histogram) {
+                return Err(at(&format!("bucket for undeclared histogram `{series}`")));
+            }
+            let edge = match label.strip_suffix("\"}") {
+                Some("+Inf") => None,
+                Some(edge) => Some(
+                    edge.parse::<u64>()
+                        .map_err(|e| at(&format!("bad le edge: {e}")))?,
+                ),
+                None => return Err(at("malformed le label")),
             };
             let cum = value
                 .parse::<u64>()
                 .map_err(|e| at(&format!("bad bucket count: {e}")))?;
-            exp.histograms
-                .entry(series.to_string())
-                .or_default()
-                .buckets
-                .push((edge, cum));
+            samples.buckets.entry(series).or_default().push((edge, cum));
             continue;
         }
-        if let Some(series) = name.strip_suffix("_sum") {
-            if kinds.get(series).copied() == Some("histogram") {
-                exp.histograms.entry(series.to_string()).or_default().sum = value
-                    .parse::<u64>()
-                    .map_err(|e| at(&format!("bad _sum: {e}")))?;
-                continue;
-            }
-        }
-        if let Some(series) = name.strip_suffix("_count") {
-            if kinds.get(series).copied() == Some("histogram") {
-                exp.histograms.entry(series.to_string()).or_default().count = value
-                    .parse::<u64>()
-                    .map_err(|e| at(&format!("bad _count: {e}")))?;
-                continue;
-            }
-        }
         // Labeled samples (`name{mesh="a"} 5`) are declared under their
-        // base name but stored under the full labeled name, so distinct
+        // base name but keyed by the full labeled name, so distinct
         // tenants stay distinct samples.
         let base = match name.split_once('{') {
             Some((base, label)) if label.ends_with('}') => base,
             Some(_) => return Err(at("malformed label set")),
             None => name,
         };
-        match kinds.get(base).copied() {
-            Some("counter") => {
-                exp.counters.insert(
-                    name.to_string(),
-                    value
-                        .parse::<u64>()
-                        .map_err(|e| at(&format!("bad counter value: {e}")))?,
-                );
-            }
-            Some("gauge") => {
-                exp.gauges.insert(
-                    name.to_string(),
-                    value
-                        .parse::<i64>()
-                        .map_err(|e| at(&format!("bad gauge value: {e}")))?,
-                );
-            }
-            Some("histogram") => return Err(at("bare sample for a histogram series")),
-            _ => return Err(at(&format!("sample `{name}` without a # TYPE declaration"))),
+        let kind = match kinds.get(base) {
+            Some(&kind) => kind,
+            None => match base.strip_suffix("_sum").or(base.strip_suffix("_count")) {
+                Some(h) if kinds.get(h) == Some(&Kind::Histogram) => Kind::Histogram,
+                _ => return Err(at(&format!("sample `{name}` without a # TYPE declaration"))),
+            },
+        };
+        if samples
+            .scalars
+            .insert(name, (kind, idx + 1, value))
+            .is_some()
+        {
+            return Err(at(&format!("duplicate sample `{name}`")));
         }
     }
-    if !saw_eof {
+    if !saw_eof || !text.ends_with('\n') {
         return Err("exposition truncated: missing # EOF terminator".into());
     }
-    Ok(exp)
+
+    let mut snap = StatsSnapshot::default();
+    for c in &StatsSnapshot::COUNTERS {
+        samples.series(Kind::Counter, &mut snap, c, "")?;
+    }
+    for g in &StatsSnapshot::GAUGES {
+        samples.series(Kind::Gauge, &mut snap, g, "")?;
+    }
+    let uptime_ms: u64 = samples.take(Kind::Gauge, &format!("oblivion_{UPTIME}"))?;
+    // A tenant has a row iff it has a `tenant_accepted` sample; every
+    // other tenant series must then carry the same ids.
+    let accepted_row = format!("oblivion_{}{{mesh=\"", TenantSnapshot::COUNTERS[0].name);
+    let mut ids: Vec<String> = samples
+        .scalars
+        .keys()
+        .filter_map(|name| {
+            let id = name
+                .strip_prefix(accepted_row.as_str())?
+                .strip_suffix("\"}")?;
+            Some(id.to_string())
+        })
+        .collect();
+    ids.sort();
+    for id in ids {
+        let label = format!("{{mesh=\"{id}\"}}");
+        let mut t = TenantSnapshot {
+            id,
+            ..TenantSnapshot::default()
+        };
+        for c in &TenantSnapshot::COUNTERS {
+            samples.series(Kind::Counter, &mut t, c, &label)?;
+        }
+        samples.series(Kind::Gauge, &mut t, &TenantSnapshot::IN_FLIGHT, &label)?;
+        samples.series(Kind::Gauge, &mut t, &TenantSnapshot::STATE_BYTES, &label)?;
+        snap.tenants.push(t);
+    }
+    for (phase, hist) in &mut snap.phases {
+        *hist = samples.histogram(&format!("oblivion_serve_phase_{phase}_us"))?;
+    }
+    if let Some(name) = samples.scalars.keys().next() {
+        return Err(format!("sample `{name}` is not a serve series"));
+    }
+    if let Some(name) = samples.buckets.keys().next() {
+        return Err(format!("histogram `{name}` is not a serve series"));
+    }
+    Ok((snap, Duration::from_millis(uptime_ms)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{Counter, ServeStats};
+    use crate::stats::{Counter, Phase, ServeStats};
+
+    /// One connection through the production transitions, with one
+    /// admitted line settled into `bucket` and `phases` recorded.
+    fn serve_one(s: &ServeStats, bucket: Counter, phases: &[(Phase, u64)]) {
+        s.conn_opened();
+        let depth = s.enqueue_started();
+        s.enqueue_committed(depth);
+        s.conn_dequeued();
+        s.admit(1);
+        for &(phase, us) in phases {
+            s.record_phase(phase, us);
+        }
+        s.settle_batch(bucket, 1);
+        s.conn_closed();
+    }
 
     fn busy_stats() -> ServeStats {
         let s = ServeStats::default();
         for i in 0..50u64 {
-            s.accept();
             if i % 9 == 0 {
+                s.conn_opened();
+                s.enqueue_started();
+                s.enqueue_aborted();
                 s.shed_at_admission();
+                s.conn_closed();
                 continue;
             }
-            s.enqueued(i % 4 + 1);
-            s.dequeued();
-            s.record_phase(Phase::QueueWait, 10 + i);
-            s.record_phase(Phase::Parse, 2);
-            s.record_phase(Phase::RouteCompute, 100 + i * 3);
-            s.record_phase(Phase::ReplyWrite, 5);
-            s.settle(if i % 11 == 0 {
+            let bucket = if i % 11 == 0 {
                 Counter::DeadlineExceeded
             } else {
                 Counter::Completed
-            });
+            };
+            serve_one(
+                &s,
+                bucket,
+                &[
+                    (Phase::QueueWait, 10 + i),
+                    (Phase::Parse, 2),
+                    (Phase::RouteCompute, 100 + i * 3),
+                    (Phase::ReplyWrite, 5),
+                ],
+            );
         }
-        // Leave some live state on the books: the scrape must conserve
-        // anyway.
-        s.accept();
-        s.enqueued(1);
-        s.accept();
-        s.enqueued(2);
-        s.dequeued();
+        // Leave some live state on the books: one connection still
+        // queued, one adopted with two lines in flight. The scrape must
+        // conserve anyway.
+        s.conn_opened();
+        s.enqueue_started();
+        s.conn_opened();
+        s.enqueue_started();
+        s.conn_dequeued();
+        s.admit(2);
         s
+    }
+
+    fn scraped(stats: &ServeStats) -> String {
+        render_exposition(&stats.snapshot(), Duration::from_millis(1234))
     }
 
     #[test]
     fn exposition_round_trips_and_conserves() {
         let stats = busy_stats();
-        let text = render_exposition(&stats.snapshot(), Duration::from_millis(1234));
-        let exp = parse_exposition(&text).expect("parse");
-        exp.check_conservation().expect("conservation");
-        assert_eq!(exp.counters["oblivion_serve_accepted"], 52);
-        assert_eq!(exp.gauges["oblivion_serve_connections"], 2);
-        assert_eq!(exp.gauges["oblivion_serve_queue_depth"], 1);
-        assert_eq!(exp.gauges["oblivion_serve_in_flight"], 1);
-        assert_eq!(exp.uptime_ms(), Some(1234));
-        let (p50, p99, count) = exp.phase_quantiles(Phase::RouteCompute).unwrap();
+        let (snap, uptime) = parse_exposition(&scraped(&stats)).expect("parse");
+        snap.check_conservation().expect("conservation");
+        assert_eq!(render_exposition(&snap, uptime), scraped(&stats));
+        assert_eq!(snap.accepted, 52);
+        assert_eq!(snap.connections, 2);
+        assert_eq!(snap.queue_depth, 1);
+        assert_eq!(snap.in_flight, 2);
+        assert_eq!(uptime, Duration::from_millis(1234));
+        let h = snap.phase(Phase::RouteCompute);
+        let (p50, p99, count) = (h.quantile(0.50), h.quantile(0.99), h.count);
         assert!(count > 0 && p50 > 0 && p99 >= p50, "{p50} {p99} {count}");
     }
 
     #[test]
     fn truncated_scrape_fails_the_parse() {
-        let stats = busy_stats();
-        let text = render_exposition(&stats.snapshot(), Duration::ZERO);
+        let text = scraped(&busy_stats());
         let cut = &text[..text.len() / 2];
         assert!(parse_exposition(cut).is_err());
         let no_eof = text.replace("# EOF\n", "");
         assert!(parse_exposition(&no_eof).is_err());
+        assert!(parse_exposition(&text[..text.len() - 1]).is_err());
     }
 
     #[test]
     fn quantiles_survive_the_wire_format() {
         let stats = ServeStats::default();
         for us in [10u64, 20, 30, 40, 50, 5000] {
-            stats.accept();
-            stats.enqueued(1);
-            stats.dequeued();
-            stats.record_phase(Phase::RouteCompute, us);
-            stats.settle(Counter::Completed);
+            serve_one(&stats, Counter::Completed, &[(Phase::RouteCompute, us)]);
         }
         let snap = stats.snapshot();
         let direct = snap.phase(Phase::RouteCompute).quantile(0.5);
         let text = render_exposition(&snap, Duration::ZERO);
-        let exp = parse_exposition(&text).unwrap();
-        let (p50, _, count) = exp.phase_quantiles(Phase::RouteCompute).unwrap();
-        assert_eq!(count, 6);
-        assert_eq!(p50, direct);
+        let (parsed, _) = parse_exposition(&text).unwrap();
+        let h = parsed.phase(Phase::RouteCompute);
+        assert_eq!(h.count, 6);
+        assert_eq!(h.quantile(0.5), direct);
     }
 
     #[test]
     fn tampered_counters_fail_conservation() {
-        let stats = busy_stats();
-        let text = render_exposition(&stats.snapshot(), Duration::ZERO);
-        let mut exp = parse_exposition(&text).unwrap();
-        *exp.counters.get_mut("oblivion_serve_accepted").unwrap() += 1;
-        assert!(exp.check_conservation().is_err());
-        let mut exp = parse_exposition(&text).unwrap();
-        exp.histograms
-            .get_mut("oblivion_serve_phase_parse_us")
-            .unwrap()
-            .count = 10_000;
-        assert!(exp.check_conservation().is_err());
-        let mut exp = parse_exposition(&text).unwrap();
-        *exp.gauges.get_mut("oblivion_serve_in_flight").unwrap() = -1;
-        assert!(exp.check_conservation().is_err());
+        let text = scraped(&busy_stats());
+        let (mut snap, _) = parse_exposition(&text).unwrap();
+        snap.accepted += 1;
+        assert!(snap.check_conservation().is_err());
+        let (mut snap, _) = parse_exposition(&text).unwrap();
+        snap.phases[Phase::Parse as usize].1.count = 10_000;
+        assert!(snap.check_conservation().is_err());
+        let (mut snap, _) = parse_exposition(&text).unwrap();
+        snap.in_flight = -1;
+        snap.connections = -1;
+        assert!(snap.check_conservation().is_err());
+        // The same tampering on the wire: the parse succeeds, the law
+        // does not.
+        let bumped = text.replace(
+            "oblivion_serve_accepted 52\n",
+            "oblivion_serve_accepted 53\n",
+        );
+        let (snap, _) = parse_exposition(&bumped).unwrap();
+        assert!(snap.check_conservation().is_err());
     }
 
     #[test]
@@ -585,25 +491,22 @@ mod tests {
         stats.tenant_admit("b", 2);
         stats.tenant_settle("b", Counter::Completed, 2);
         stats.tenant_mesh_retired("b", 2);
-        let text = render_exposition(&stats.snapshot(), Duration::ZERO);
-        let exp = parse_exposition(&text).expect("parse");
-        exp.check_conservation().expect("conservation");
-        assert_eq!(exp.tenant_ids(), vec!["a".to_string(), "b".to_string()]);
-        assert_eq!(exp.tenant_counter("tenant_accepted", "a").unwrap(), 5);
-        assert_eq!(
-            exp.tenant_counter("tenant_shed_overloaded", "a").unwrap(),
-            1
-        );
-        assert_eq!(exp.tenant_gauge("tenant_in_flight", "a").unwrap(), 1);
-        assert_eq!(exp.tenant_counter("tenant_mesh_retired", "b").unwrap(), 2);
-        assert_eq!(exp.tenant_gauge("tenant_in_flight", "b").unwrap(), 0);
-        assert_eq!(exp.tenant_gauge("mesh_state_bytes", "a").unwrap(), 4096);
-        assert_eq!(exp.tenant_gauge("mesh_state_bytes", "b").unwrap(), 1024);
+        let text = scraped(&stats);
+        let (snap, _) = parse_exposition(&text).expect("parse");
+        snap.check_conservation().expect("conservation");
+        let ids: Vec<&str> = snap.tenants.iter().map(|t| t.id.as_str()).collect();
+        assert_eq!(ids, ["a", "b"]);
+        let (a, b) = (&snap.tenants[0], &snap.tenants[1]);
+        assert_eq!(a.accepted, 5);
+        assert_eq!(a.shed_overloaded, 1);
+        assert_eq!(a.in_flight, 1);
+        assert_eq!(b.mesh_retired, 2);
+        assert_eq!(b.in_flight, 0);
+        assert_eq!(a.state_bytes, 4096);
+        assert_eq!(b.state_bytes, 1024);
         // Tampering with a tenant row breaks that tenant's own law.
-        let mut bad = parse_exposition(&text).unwrap();
-        *bad.counters
-            .get_mut("oblivion_serve_tenant_accepted{mesh=\"a\"}")
-            .unwrap() += 1;
+        let (mut bad, _) = parse_exposition(&text).unwrap();
+        bad.tenants[0].accepted += 1;
         assert!(bad.check_conservation().is_err());
     }
 
@@ -613,8 +516,85 @@ mod tests {
         assert!(parse_exposition("# TYPE x wibble\nx 1\n# EOF\n").is_err());
         assert!(parse_exposition("# TYPE x counter\nx notanumber\n# EOF\n").is_err());
         assert!(parse_exposition("# EOF\ntrailing 1\n").is_err());
+        // A well-formed series the ledger does not have is not a scrape.
+        let text = scraped(&busy_stats());
+        let extra = text.replace("# EOF\n", "# TYPE x counter\nx 1\n# EOF\n");
+        assert!(parse_exposition(&extra).is_err());
         // Plain comments are fine.
-        let ok = parse_exposition("# HELP something\n# TYPE x counter\nx 1\n# EOF\n").unwrap();
-        assert_eq!(ok.counters["x"], 1);
+        let commented = format!("# HELP something\n{text}");
+        let (ok, _) = parse_exposition(&commented).unwrap();
+        assert_eq!(ok, parse_exposition(&text).unwrap().0);
+    }
+
+    /// Every series the renderer always writes is required; a parsed
+    /// scrape is a whole snapshot or an error.
+    #[test]
+    fn missing_series_are_rejected() {
+        let text = scraped(&busy_stats());
+        for series in [
+            "oblivion_serve_accepted ",
+            "oblivion_serve_conns_closed ",
+            "oblivion_serve_open_conns ",
+            "oblivion_serve_uptime_ms ",
+            "oblivion_serve_phase_parse_us_sum ",
+            "oblivion_serve_phase_parse_us_bucket{le=\"+Inf\"} ",
+        ] {
+            let cut: String = text
+                .lines()
+                .filter(|l| !l.starts_with(series))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_ne!(cut, text, "{series}");
+            assert!(parse_exposition(&cut).is_err(), "{series} missing");
+        }
+        // Dropping one tenant row leaves that tenant incomplete.
+        let stats = busy_stats();
+        stats.set_tenant_state_bytes("a", 1);
+        let text = scraped(&stats);
+        let cut = text.replace("oblivion_serve_tenant_in_flight{mesh=\"a\"} 0\n", "");
+        assert_ne!(cut, text);
+        assert!(parse_exposition(&cut).is_err());
+    }
+
+    #[test]
+    fn malformed_histograms_are_rejected() {
+        let stats = ServeStats::default();
+        serve_one(&stats, Counter::Completed, &[(Phase::Parse, 2)]);
+        serve_one(&stats, Counter::Completed, &[(Phase::Parse, 9)]);
+        let text = render_exposition(&stats.snapshot(), Duration::ZERO);
+        let edges = "oblivion_serve_phase_parse_us_bucket{le=\"3\"} 1\n\
+                     oblivion_serve_phase_parse_us_bucket{le=\"15\"} 2\n";
+        assert!(text.contains(edges), "{text}");
+        for (what, bad) in [
+            (
+                "non-monotone cumulative counts",
+                "oblivion_serve_phase_parse_us_bucket{le=\"3\"} 2\n\
+                 oblivion_serve_phase_parse_us_bucket{le=\"15\"} 1\n",
+            ),
+            (
+                "an edge that is not a bucket edge",
+                "oblivion_serve_phase_parse_us_bucket{le=\"4\"} 1\n\
+                 oblivion_serve_phase_parse_us_bucket{le=\"15\"} 2\n",
+            ),
+            (
+                "edges out of order",
+                "oblivion_serve_phase_parse_us_bucket{le=\"15\"} 1\n\
+                 oblivion_serve_phase_parse_us_bucket{le=\"3\"} 2\n",
+            ),
+            (
+                "a finite total short of the count",
+                "oblivion_serve_phase_parse_us_bucket{le=\"3\"} 1\n",
+            ),
+        ] {
+            let tampered = text.replace(edges, bad);
+            assert!(parse_exposition(&tampered).is_err(), "{what} accepted");
+        }
+        let inf = text.replace(
+            "oblivion_serve_phase_parse_us_bucket{le=\"+Inf\"} 2\n",
+            "oblivion_serve_phase_parse_us_bucket{le=\"+Inf\"} 3\n",
+        );
+        assert_ne!(inf, text);
+        let why = parse_exposition(&inf).unwrap_err();
+        assert!(why.contains("+Inf"), "{why}");
     }
 }

@@ -495,7 +495,6 @@ fn accept_loop(
                         // connection is one shed unit. No trace ID on
                         // the reply: no request line was ever read. The
                         // write is best-effort and strictly bounded.
-                        ctl.stats.accept();
                         ctl.stats.shed_at_admission();
                         let _ = wire::write_line(
                             &inbound.stream,
@@ -731,7 +730,7 @@ fn service_conn<'a>(
         if let Some(since) = conn.partial_since {
             if Instant::now() >= since + cfg.deadline {
                 ctl.stats.admit(1);
-                ctl.stats.settle(Counter::DeadlineExceeded);
+                ctl.stats.settle_batch(Counter::DeadlineExceeded, 1);
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = wire::write_line(
                     &conn.stream,
@@ -757,7 +756,7 @@ fn service_conn<'a>(
         if conn.fb.has_partial() {
             // The peer hung up mid-line: one bad-request unit.
             ctl.stats.admit(1);
-            ctl.stats.settle(Counter::BadRequest);
+            ctl.stats.settle_batch(Counter::BadRequest, 1);
         }
         // A clean keep-alive close after the last reply is zero units.
         ctl.stats.conn_closed();
@@ -1264,14 +1263,12 @@ fn serve_stats_json(snap: &StatsSnapshot, uptime: Duration) -> String {
         "uptime_ms",
         uptime.as_millis().min(u128::from(u64::MAX)) as u64,
     );
-    for (name, value) in snap.obs_counters() {
-        obj.set(name, value);
+    for c in &StatsSnapshot::COUNTERS {
+        obj.set(c.name, (c.get)(snap));
     }
-    obj.set("serve_queue_depth", snap.queue_depth)
-        .set("serve_in_flight", snap.in_flight)
-        .set("serve_connections", snap.connections)
-        .set("serve_open_conns", snap.open_conns)
-        .set("serve_max_queue_depth", snap.max_queue_depth);
+    for g in &StatsSnapshot::GAUGES {
+        obj.set(g.name, (g.get)(snap));
+    }
     for (phase, hist) in &snap.phases {
         obj.set(
             format!("phase_{phase}_us"),

@@ -1,4 +1,4 @@
-//! Request accounting with a conservation law — now with live gauges and
+//! Request accounting with a conservation law, live gauges and
 //! per-phase latency histograms behind one consistent-snapshot lock.
 //!
 //! The unit of account is the **request line**, not the connection:
@@ -9,15 +9,16 @@
 //! ```text
 //! accepted = completed + bad_request + shed_overloaded
 //!          + deadline_exceeded + drain_rejected + io_errors
+//!          + unknown_mesh + mesh_retired
 //! ```
 //!
 //! A request line is *admitted* ([`ServeStats::admit`]) the moment a
 //! worker frames it off the socket; a connection turned away whole at
-//! admission contributes one shed unit (it carried at least an attempt);
-//! an idle keep-alive connection that closes cleanly between requests
-//! contributes none. Socket-level churn is tracked by separate
-//! `conns_opened` / `conns_closed` counters and the `open_conns` gauge
-//! **outside** the law.
+//! admission contributes one shed unit
+//! ([`ServeStats::shed_at_admission`]); an idle keep-alive connection
+//! that closes cleanly between requests contributes none. Socket-level
+//! churn is tracked by separate `conns_opened` / `conns_closed`
+//! counters and the `open_conns` gauge **outside** the law.
 //!
 //! The live form of the law holds at *every* instant, not just at
 //! quiescence: `accepted = settled + connections`, where `connections`
@@ -26,12 +27,19 @@
 //! [`ServeStats::snapshot`] copies the whole ledger under that same
 //! mutex — so a `METRICS` scrape taken mid-stampede can never observe a
 //! half-applied transition, even when a worker settles a 64-deep
-//! pipeline burst in one call. The soak tests assert this against live
-//! scrapes; the chaos gate asserts the quiescent law after drain. The
-//! same transitions are mirrored into `oblivion-obs` (when enabled) so
-//! `--metrics-out` run reports carry them.
+//! pipeline burst in one call. [`StatsSnapshot::check_conservation`] is
+//! the one implementation of the live law; the soak tests run it on
+//! live scrapes, `oblivion top --check` on every frame, and `serve` at
+//! drain.
 //!
-//! Lock cost: two-to-four uncontended mutex acquisitions per request,
+//! This ledger is the only model of serve telemetry. `METRICS`
+//! ([`crate::metrics`]), the `--stats-every` JSONL lines and the
+//! drained run report all read its series through
+//! [`StatsSnapshot::COUNTERS`] and [`StatsSnapshot::GAUGES`]; the CLI
+//! publishes the drained snapshot into `oblivion-obs` once, for
+//! `--metrics-out`.
+//!
+//! Lock cost: one uncontended mutex acquisition per transition,
 //! nanoseconds against a syscall-bound request path — consistency is
 //! worth far more here than lock-free increments that can tear.
 
@@ -83,7 +91,8 @@ impl Phase {
         }
     }
 
-    /// The `oblivion-obs` runtime-histogram name this phase mirrors to.
+    /// The `oblivion-obs` runtime-histogram name this phase is
+    /// published under in `--metrics-out` run reports.
     pub fn obs_name(self) -> &'static str {
         match self {
             Phase::Accept => "serve_phase_accept_us",
@@ -93,25 +102,12 @@ impl Phase {
             Phase::ReplyWrite => "serve_phase_reply_write_us",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Accept => 0,
-            Phase::QueueWait => 1,
-            Phase::Parse => 2,
-            Phase::RouteCompute => 3,
-            Phase::ReplyWrite => 4,
-        }
-    }
 }
 
-/// The terminal buckets of the conservation law, plus bookkeeping
-/// counters — a typed handle so call sites can't typo an obs name.
+/// The terminal buckets of the conservation law: a settle transition
+/// names the one bucket its units land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// Request units admitted (framed lines, plus one per connection
-    /// turned away whole).
-    Accepted,
     /// Requests answered with `OK` (paths and probes).
     Completed,
     /// Requests answered `ERR BAD_REQUEST`.
@@ -132,76 +128,6 @@ pub enum Counter {
     /// Requests answered `ERR MESH_RETIRED` (the id was live once and
     /// was retired; charged to the retired tenant's ledger).
     MeshRetired,
-    /// Probes answered on the dedicated health listener (outside the
-    /// conservation law — health connections bypass admission).
-    HealthProbe,
-}
-
-impl Counter {
-    /// The `oblivion-obs` counter this bucket mirrors to.
-    pub fn obs_name(&self) -> &'static str {
-        match self {
-            Counter::Accepted => "serve_accepted",
-            Counter::Completed => "serve_completed",
-            Counter::BadRequest => "serve_bad_request",
-            Counter::ShedOverloaded => "serve_shed_overloaded",
-            Counter::DeadlineExceeded => "serve_deadline_exceeded",
-            Counter::DrainRejected => "serve_drain_rejected",
-            Counter::IoError => "serve_io_errors",
-            Counter::UnknownMesh => "serve_unknown_mesh",
-            Counter::MeshRetired => "serve_mesh_retired",
-            Counter::HealthProbe => "serve_health_probes",
-        }
-    }
-
-    fn index(&self) -> usize {
-        match self {
-            Counter::Accepted => 0,
-            Counter::Completed => 1,
-            Counter::BadRequest => 2,
-            Counter::ShedOverloaded => 3,
-            Counter::DeadlineExceeded => 4,
-            Counter::DrainRejected => 5,
-            Counter::IoError => 6,
-            Counter::UnknownMesh => 7,
-            Counter::MeshRetired => 8,
-            Counter::HealthProbe => 9,
-        }
-    }
-
-    /// This bucket's slot in a tenant ledger, when the bucket is
-    /// attributable to a tenant (`Accepted`, `UnknownMesh`, and
-    /// `HealthProbe` are not: accepted is counted by
-    /// [`ServeStats::tenant_admit`], an unknown id has no tenant, and
-    /// probes bypass admission).
-    fn tenant_index(&self) -> Option<usize> {
-        match self {
-            Counter::Completed => Some(0),
-            Counter::BadRequest => Some(1),
-            Counter::ShedOverloaded => Some(2),
-            Counter::DeadlineExceeded => Some(3),
-            Counter::DrainRejected => Some(4),
-            Counter::IoError => Some(5),
-            Counter::MeshRetired => Some(6),
-            Counter::Accepted | Counter::UnknownMesh | Counter::HealthProbe => None,
-        }
-    }
-}
-
-/// Number of per-tenant terminal buckets.
-const TENANT_BUCKETS: usize = 7;
-
-/// One tenant's slice of the ledger. Attribution happens at parse time
-/// (a framed line is global the moment it is admitted, tenant-labeled
-/// once its `MESH` prefix resolves), so the per-tenant live law is
-/// `accepted = settled + in_flight` with *this* ledger's gauge, and the
-/// sum of tenant `accepted` never exceeds the global one.
-#[derive(Default, Clone)]
-struct TenantLedger {
-    accepted: u64,
-    buckets: [u64; TENANT_BUCKETS],
-    in_flight: i64,
-    state_bytes: u64,
 }
 
 /// The chaos-injected event kinds (see `crate::chaos`): bookkeeping
@@ -221,90 +147,18 @@ pub enum ChaosEvent {
     WorkerPause,
 }
 
-/// Number of chaos event kinds.
-pub const CHAOS_EVENT_COUNT: usize = 4;
-
-impl ChaosEvent {
-    /// The `oblivion-obs` counter this event mirrors to.
-    pub fn obs_name(self) -> &'static str {
-        match self {
-            ChaosEvent::Stall => "serve_chaos_stalls",
-            ChaosEvent::SlowWrite => "serve_chaos_slow_writes",
-            ChaosEvent::Reset => "serve_chaos_resets",
-            ChaosEvent::WorkerPause => "serve_chaos_worker_pauses",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            ChaosEvent::Stall => 0,
-            ChaosEvent::SlowWrite => 1,
-            ChaosEvent::Reset => 2,
-            ChaosEvent::WorkerPause => 3,
-        }
-    }
-}
-
-/// Everything behind the one lock. Gauges are `i64` so an accounting bug
+/// Live request accounting (see module docs for the conservation law):
+/// the ledger is a [`StatsSnapshot`] behind one lock, so a snapshot is a
+/// copy taken under that lock. Gauges are `i64` so an accounting bug
 /// shows up as a visible negative level instead of a wrapped `u64`.
-struct Ledger {
-    counters: [u64; 10],
-    chaos: [u64; CHAOS_EVENT_COUNT],
-    tenants: std::collections::BTreeMap<String, TenantLedger>,
-    conns_opened: u64,
-    conns_closed: u64,
-    max_queue_depth: u64,
-    queue_depth: i64,
-    in_flight: i64,
-    connections: i64,
-    open_conns: i64,
-    phases: [Histogram; PHASE_COUNT],
-}
-
-impl Default for Ledger {
-    fn default() -> Self {
-        Ledger {
-            counters: [0; 10],
-            tenants: std::collections::BTreeMap::new(),
-            chaos: [0; CHAOS_EVENT_COUNT],
-            conns_opened: 0,
-            conns_closed: 0,
-            max_queue_depth: 0,
-            queue_depth: 0,
-            in_flight: 0,
-            connections: 0,
-            open_conns: 0,
-            phases: std::array::from_fn(|_| Histogram::new()),
-        }
-    }
-}
-
-/// Live request accounting (see module docs for the conservation law).
 #[derive(Default)]
 pub struct ServeStats {
-    ledger: Mutex<Ledger>,
+    ledger: Mutex<StatsSnapshot>,
 }
 
 impl ServeStats {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Ledger> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, StatsSnapshot> {
         self.ledger.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A request unit came on the books: `accepted` and the
-    /// `connections` gauge move together, atomically. Pairs with the
-    /// [`ServeStats::dequeued`]/[`ServeStats::settle`] flow (which moves
-    /// `in_flight` itself); pipelined workers use [`ServeStats::admit`],
-    /// whose units are born in flight.
-    pub fn accept(&self) {
-        {
-            let mut l = self.lock();
-            l.counters[Counter::Accepted.index()] += 1;
-            l.connections += 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_accepted", 1);
-            b.gauge_add("serve_connections", 1);
-        });
     }
 
     /// `n` request lines framed off a socket in one burst: they enter
@@ -314,187 +168,94 @@ impl ServeStats {
         if n == 0 {
             return;
         }
-        {
-            let mut l = self.lock();
-            l.counters[Counter::Accepted.index()] += n;
-            l.connections += n as i64;
-            l.in_flight += n as i64;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_accepted", n);
-            b.gauge_add("serve_connections", n as i64);
-            b.gauge_add("serve_in_flight", n as i64);
-        });
+        let mut l = self.lock();
+        l.accepted += n;
+        l.connections += n as i64;
+        l.in_flight += n as i64;
     }
 
     /// `n` admitted units settle into one terminal bucket at once — the
     /// write-side twin of [`ServeStats::admit`] for a burst answered
     /// with a single vectored write.
     pub fn settle_batch(&self, which: Counter, n: u64) {
-        debug_assert!(
-            !matches!(which, Counter::Accepted | Counter::HealthProbe),
-            "settle takes a terminal bucket"
-        );
         if n == 0 {
             return;
         }
-        {
-            let mut l = self.lock();
-            l.counters[which.index()] += n;
-            l.in_flight -= n as i64;
-            l.connections -= n as i64;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add(which.obs_name(), n);
-            b.gauge_add("serve_in_flight", -(n as i64));
-            b.gauge_add("serve_connections", -(n as i64));
-        });
+        let mut l = self.lock();
+        *l.bucket(which) += n;
+        l.in_flight -= n as i64;
+        l.connections -= n as i64;
     }
 
     /// A socket came off the listener: connection-churn telemetry,
     /// outside the conservation law.
     pub fn conn_opened(&self) {
-        {
-            let mut l = self.lock();
-            l.conns_opened += 1;
-            l.open_conns += 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_conns_opened", 1);
-            b.gauge_add("serve_open_conns", 1);
-        });
+        let mut l = self.lock();
+        l.conns_opened += 1;
+        l.open_conns += 1;
     }
 
     /// A socket closed (any reason). Every [`ServeStats::conn_opened`]
     /// must be paired with exactly one close.
     pub fn conn_closed(&self) {
-        {
-            let mut l = self.lock();
-            l.conns_closed += 1;
-            l.open_conns -= 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_conns_closed", 1);
-            b.gauge_add("serve_open_conns", -1);
-        });
+        let mut l = self.lock();
+        l.conns_closed += 1;
+        l.open_conns -= 1;
     }
 
     /// A worker adopted a queued connection: the queue-depth gauge
     /// falls, nothing else moves (units are admitted later, as lines are
-    /// framed). Contrast [`ServeStats::dequeued`], the unpipelined
-    /// one-unit-per-connection form.
+    /// framed).
     pub fn conn_dequeued(&self) {
-        {
-            let mut l = self.lock();
-            l.queue_depth -= 1;
-        }
-        oblivion_obs::update(|b| b.gauge_add("serve_queue_depth", -1));
+        self.lock().queue_depth -= 1;
     }
 
     /// Pre-publish half of an enqueue: bumps the queue-depth gauge
     /// *before* the job becomes visible to workers. The acceptor must
     /// call this before the push — otherwise a fast worker's
-    /// [`ServeStats::dequeued`] can land first and a scrape observes a
-    /// negative depth. Returns the provisional depth (the in-queue
-    /// count the moment the push lands).
+    /// [`ServeStats::conn_dequeued`] can land first and a scrape
+    /// observes a negative depth. Returns the provisional depth (the
+    /// in-queue count the moment the push lands).
     pub fn enqueue_started(&self) -> u64 {
-        let depth = {
-            let mut l = self.lock();
-            l.queue_depth += 1;
-            l.queue_depth as u64
-        };
-        oblivion_obs::update(|b| b.gauge_add("serve_queue_depth", 1));
-        depth
+        let mut l = self.lock();
+        l.queue_depth += 1;
+        l.queue_depth as u64
     }
 
     /// Commit half: the push succeeded at `depth` — record the
-    /// high-water mark and the depth histogram. Deliberately *not*
-    /// folded into [`ServeStats::enqueue_started`]: a rejected push
-    /// must leave the high-water mark untouched (the shed job was
-    /// never in the queue).
+    /// high-water mark. Deliberately *not* folded into
+    /// [`ServeStats::enqueue_started`]: a rejected push must leave the
+    /// high-water mark untouched (the shed job was never in the queue).
     pub fn enqueue_committed(&self, depth: u64) {
-        {
-            let mut l = self.lock();
-            l.max_queue_depth = l.max_queue_depth.max(depth);
-        }
-        oblivion_obs::update(|b| b.record("serve_queue_depth_hist", depth));
+        let mut l = self.lock();
+        l.max_queue_depth = l.max_queue_depth.max(depth as i64);
     }
 
     /// Rollback half: the push was rejected (queue full) — undo the
     /// provisional depth bump. The caller settles the connection via
     /// [`ServeStats::shed_at_admission`].
     pub fn enqueue_aborted(&self) {
-        {
-            let mut l = self.lock();
-            l.queue_depth -= 1;
-        }
-        oblivion_obs::update(|b| b.gauge_add("serve_queue_depth", -1));
+        self.lock().queue_depth -= 1;
     }
 
-    /// Both enqueue halves at once, for callers with no concurrent
-    /// consumer racing the push.
-    pub fn enqueued(&self, depth: u64) {
-        self.enqueue_started();
-        self.enqueue_committed(depth);
-    }
-
-    /// A worker took a job off the queue: it is now in flight.
-    pub fn dequeued(&self) {
-        {
-            let mut l = self.lock();
-            l.queue_depth -= 1;
-            l.in_flight += 1;
-        }
-        oblivion_obs::update(|b| {
-            b.gauge_add("serve_queue_depth", -1);
-            b.gauge_add("serve_in_flight", 1);
-        });
-    }
-
-    /// A connection shed at admission settles without ever being
-    /// enqueued: terminal bucket and `connections` move together.
+    /// A connection turned away whole at admission is one request unit,
+    /// accepted and shed in one transition: it is never enqueued, so
+    /// the unsettled-units gauges do not move.
     pub fn shed_at_admission(&self) {
-        {
-            let mut l = self.lock();
-            l.counters[Counter::ShedOverloaded.index()] += 1;
-            l.connections -= 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add("serve_shed_overloaded", 1);
-            b.gauge_add("serve_connections", -1);
-        });
-    }
-
-    /// A dequeued request settles into its terminal bucket; the
-    /// `in_flight` and `connections` gauges fall with it, atomically.
-    pub fn settle(&self, which: Counter) {
-        debug_assert!(
-            !matches!(which, Counter::Accepted | Counter::HealthProbe),
-            "settle takes a terminal bucket"
-        );
-        {
-            let mut l = self.lock();
-            l.counters[which.index()] += 1;
-            l.in_flight -= 1;
-            l.connections -= 1;
-        }
-        oblivion_obs::update(|b| {
-            b.counter_add(which.obs_name(), 1);
-            b.gauge_add("serve_in_flight", -1);
-            b.gauge_add("serve_connections", -1);
-        });
+        let mut l = self.lock();
+        l.accepted += 1;
+        l.shed_overloaded += 1;
     }
 
     /// `n` admitted lines were attributed to tenant `id` (their `MESH`
     /// prefix resolved to a live mesh): the tenant's `accepted` and
-    /// `in_flight` move together. Per-tenant transitions are mirrored
-    /// nowhere else — `oblivion-obs` stays global.
+    /// `in_flight` move together.
     pub fn tenant_admit(&self, id: &str, n: u64) {
         if n == 0 {
             return;
         }
         let mut l = self.lock();
-        let t = l.tenants.entry(id.to_string()).or_default();
+        let t = l.tenant_mut(id);
         t.accepted += n;
         t.in_flight += n as i64;
     }
@@ -504,16 +265,16 @@ impl ServeStats {
     /// lock but move in separate calls — each law is checked on its own
     /// ledger).
     pub fn tenant_settle(&self, id: &str, which: Counter, n: u64) {
-        let Some(bucket) = which.tenant_index() else {
-            debug_assert!(false, "{which:?} is not a tenant bucket");
-            return;
-        };
         if n == 0 {
             return;
         }
         let mut l = self.lock();
-        let t = l.tenants.entry(id.to_string()).or_default();
-        t.buckets[bucket] += n;
+        let t = l.tenant_mut(id);
+        let Some(bucket) = t.bucket(which) else {
+            debug_assert!(false, "{which:?} is not a tenant bucket");
+            return;
+        };
+        *bucket += n;
         t.in_flight -= n as i64;
     }
 
@@ -525,9 +286,9 @@ impl ServeStats {
             return;
         }
         let mut l = self.lock();
-        let t = l.tenants.entry(id.to_string()).or_default();
+        let t = l.tenant_mut(id);
         t.accepted += n;
-        t.buckets[Counter::MeshRetired.tenant_index().unwrap_or(0)] += n;
+        t.mesh_retired += n;
     }
 
     /// Publishes a tenant's routing-state gauge (at registration and
@@ -535,89 +296,75 @@ impl ServeStats {
     /// materializes the tenant's ledger row, so a quiet tenant still
     /// shows in `METRICS`.
     pub fn set_tenant_state_bytes(&self, id: &str, bytes: u64) {
-        let mut l = self.lock();
-        l.tenants.entry(id.to_string()).or_default().state_bytes = bytes;
+        self.lock().tenant_mut(id).state_bytes = bytes;
     }
 
     /// A probe answered on the health listener (outside the law).
     pub fn health_probe(&self) {
-        self.lock().counters[Counter::HealthProbe.index()] += 1;
-        oblivion_obs::counter_add("serve_health_probes", 1);
+        self.lock().health_probes += 1;
     }
 
     /// A chaos event was injected (outside the law — the affected
     /// request units still settle through their normal buckets).
     pub fn chaos_event(&self, event: ChaosEvent) {
-        self.lock().chaos[event.index()] += 1;
-        oblivion_obs::counter_add(event.obs_name(), 1);
+        let mut l = self.lock();
+        *match event {
+            ChaosEvent::Stall => &mut l.chaos_stalls,
+            ChaosEvent::SlowWrite => &mut l.chaos_slow_writes,
+            ChaosEvent::Reset => &mut l.chaos_resets,
+            ChaosEvent::WorkerPause => &mut l.chaos_worker_pauses,
+        } += 1;
     }
 
-    /// Records one phase duration (microseconds) into the live ledger
-    /// and the mirrored obs runtime histogram.
+    /// Records one phase duration (microseconds).
     pub fn record_phase(&self, phase: Phase, us: u64) {
-        self.lock().phases[phase.index()].record(us);
-        oblivion_obs::record_runtime(phase.obs_name(), us);
+        self.lock().phases[phase as usize].1.record(us);
     }
 
     /// Copies the whole ledger under one lock: the returned snapshot is
-    /// transition-consistent, so [`StatsSnapshot::conserved_live`] holds
-    /// for every snapshot ever taken, even mid-stampede.
+    /// transition-consistent, so [`StatsSnapshot::check_conservation`]
+    /// holds for every snapshot ever taken, even mid-stampede.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let l = self.lock();
-        StatsSnapshot {
-            accepted: l.counters[Counter::Accepted.index()],
-            completed: l.counters[Counter::Completed.index()],
-            bad_request: l.counters[Counter::BadRequest.index()],
-            shed_overloaded: l.counters[Counter::ShedOverloaded.index()],
-            deadline_exceeded: l.counters[Counter::DeadlineExceeded.index()],
-            drain_rejected: l.counters[Counter::DrainRejected.index()],
-            io_errors: l.counters[Counter::IoError.index()],
-            unknown_mesh: l.counters[Counter::UnknownMesh.index()],
-            mesh_retired: l.counters[Counter::MeshRetired.index()],
-            health_probes: l.counters[Counter::HealthProbe.index()],
-            tenants: l
-                .tenants
-                .iter()
-                .map(|(id, t)| TenantSnapshot {
-                    id: id.clone(),
-                    accepted: t.accepted,
-                    completed: t.buckets[0],
-                    bad_request: t.buckets[1],
-                    shed_overloaded: t.buckets[2],
-                    deadline_exceeded: t.buckets[3],
-                    drain_rejected: t.buckets[4],
-                    io_errors: t.buckets[5],
-                    mesh_retired: t.buckets[6],
-                    in_flight: t.in_flight,
-                    state_bytes: t.state_bytes,
-                })
-                .collect(),
-            chaos_stalls: l.chaos[ChaosEvent::Stall.index()],
-            chaos_slow_writes: l.chaos[ChaosEvent::SlowWrite.index()],
-            chaos_resets: l.chaos[ChaosEvent::Reset.index()],
-            chaos_worker_pauses: l.chaos[ChaosEvent::WorkerPause.index()],
-            conns_opened: l.conns_opened,
-            conns_closed: l.conns_closed,
-            max_queue_depth: l.max_queue_depth,
-            queue_depth: l.queue_depth,
-            in_flight: l.in_flight,
-            connections: l.connections,
-            open_conns: l.open_conns,
-            phases: Phase::ALL.map(|p| (p.name(), l.phases[p.index()].clone())),
-        }
+        self.lock().clone()
     }
 }
 
+/// One named scalar series of a snapshot `S`: the series name and the
+/// field that holds it, readable and writable so the renderers and the
+/// `METRICS` parser share one list.
+pub struct Series<S, T> {
+    /// Series name: the `--metrics-out` and `serve_stats` key.
+    /// `METRICS` prefixes it with `oblivion_`.
+    pub name: &'static str,
+    /// Reads the value.
+    pub get: fn(&S) -> T,
+    /// Writes the value.
+    pub set: fn(&mut S, T),
+}
+
+/// A [`Series`] row for the field `$field` of the snapshot type.
+macro_rules! series {
+    ($name:literal, $field:ident) => {
+        Series {
+            name: $name,
+            get: |s| s.$field,
+            set: |s, v| s.$field = v,
+        }
+    };
+}
+
 /// A point-in-time, transition-consistent copy of [`ServeStats`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Connections the acceptor took off the listener.
+    /// Request units admitted: framed request lines, plus one per
+    /// connection turned away whole at admission.
     pub accepted: u64,
     /// Requests answered with `OK` (paths and probes).
     pub completed: u64,
     /// Requests answered `ERR BAD_REQUEST`.
     pub bad_request: u64,
-    /// Connections rejected `ERR OVERLOADED` at admission (queue full).
+    /// Request units rejected `ERR OVERLOADED`: whole connections shed
+    /// at admission (queues full) and lines over a tenant's quota.
     pub shed_overloaded: u64,
     /// Requests answered `ERR DEADLINE_EXCEEDED`.
     pub deadline_exceeded: u64,
@@ -648,7 +395,7 @@ pub struct StatsSnapshot {
     /// Sockets closed, any reason.
     pub conns_closed: u64,
     /// High-water mark of the admission queue depth.
-    pub max_queue_depth: u64,
+    pub max_queue_depth: i64,
     /// Connections currently waiting in the admission queue.
     pub queue_depth: i64,
     /// Request units currently being handled by a worker.
@@ -662,81 +409,153 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Sum of the terminal buckets every accepted connection must land
-    /// in.
+    /// Every counter series, in exposition order.
+    pub const COUNTERS: [Series<StatsSnapshot, u64>; 16] = [
+        series!("serve_accepted", accepted),
+        series!("serve_completed", completed),
+        series!("serve_bad_request", bad_request),
+        series!("serve_shed_overloaded", shed_overloaded),
+        series!("serve_deadline_exceeded", deadline_exceeded),
+        series!("serve_drain_rejected", drain_rejected),
+        series!("serve_io_errors", io_errors),
+        series!("serve_unknown_mesh", unknown_mesh),
+        series!("serve_mesh_retired", mesh_retired),
+        series!("serve_health_probes", health_probes),
+        series!("serve_chaos_stalls", chaos_stalls),
+        series!("serve_chaos_slow_writes", chaos_slow_writes),
+        series!("serve_chaos_resets", chaos_resets),
+        series!("serve_chaos_worker_pauses", chaos_worker_pauses),
+        series!("serve_conns_opened", conns_opened),
+        series!("serve_conns_closed", conns_closed),
+    ];
+
+    /// Every gauge series, in exposition order.
+    pub const GAUGES: [Series<StatsSnapshot, i64>; 5] = [
+        series!("serve_queue_depth", queue_depth),
+        series!("serve_in_flight", in_flight),
+        series!("serve_connections", connections),
+        series!("serve_open_conns", open_conns),
+        series!("serve_max_queue_depth", max_queue_depth),
+    ];
+
+    /// The terminal buckets every accepted unit must land in.
+    fn terminal_buckets(&self) -> [u64; 8] {
+        [
+            self.completed,
+            self.bad_request,
+            self.shed_overloaded,
+            self.deadline_exceeded,
+            self.drain_rejected,
+            self.io_errors,
+            self.unknown_mesh,
+            self.mesh_retired,
+        ]
+    }
+
+    /// Sum of the terminal buckets every accepted unit must land in
+    /// (saturating: only a forged snapshot can overflow it).
     pub fn settled(&self) -> u64 {
-        self.completed
-            + self.bad_request
-            + self.shed_overloaded
-            + self.deadline_exceeded
-            + self.drain_rejected
-            + self.io_errors
-            + self.unknown_mesh
-            + self.mesh_retired
+        checked_sum(&self.terminal_buckets()).unwrap_or(u64::MAX)
     }
 
-    /// The per-tenant live laws: every tenant's ledger slice conserves
-    /// on its own (`accepted = settled + in_flight`, gauge
-    /// non-negative), and the tenant-attributed total never exceeds the
-    /// global `accepted` (a line is attributed only after it was
-    /// admitted).
-    pub fn tenants_conserved(&self) -> bool {
-        self.tenants.iter().all(|t| t.conserved_live())
-            && self.tenants.iter().map(|t| t.accepted).sum::<u64>() <= self.accepted
-    }
-
-    /// The quiescent conservation law: every accepted connection is
-    /// settled. Only meaningful after drain or with no request in
-    /// flight; mid-run, use [`conserved_live`](Self::conserved_live).
+    /// The quiescent conservation law: every accepted unit is settled.
+    /// Only meaningful after drain or with no request in flight;
+    /// mid-run, use [`check_conservation`](Self::check_conservation).
     pub fn conserved(&self) -> bool {
         self.accepted == self.settled()
     }
 
-    /// The live conservation law, valid at every instant: accepted
-    /// connections are either settled or still on the books as open
-    /// `connections`.
-    pub fn conserved_live(&self) -> bool {
-        self.connections >= 0
-            && self.queue_depth >= 0
-            && self.in_flight >= 0
-            && self.open_conns >= 0
-            && self.conns_closed <= self.conns_opened
-            && self.conns_opened == self.conns_closed + self.open_conns as u64
-            && self.accepted == self.settled() + self.connections as u64
-    }
-
-    /// Every phase histogram count is `<= accepted` (each phase fires at
-    /// most once per accepted connection).
-    pub fn phases_within_accepted(&self) -> bool {
-        self.phases.iter().all(|(_, h)| h.count <= self.accepted)
+    /// The live conservation law, valid at every instant; returns a
+    /// diagnosis of the first violated clause:
+    ///
+    /// * gauges non-negative, and `accepted = completed + bad + shed +
+    ///   deadline + drain + io + unknown_mesh + mesh_retired +
+    ///   connections`;
+    /// * socket churn, outside the law, balances itself: `conns_opened
+    ///   = conns_closed + open_conns`;
+    /// * a chaos reset kills a whole connection, so resets never exceed
+    ///   the sockets ever opened;
+    /// * each tenant's own law `accepted_t = settled_t + in_flight_t`,
+    ///   and tenant attribution never claims more than the global
+    ///   ledger admitted (`sum(accepted_t) <= accepted`): a line is
+    ///   attributed at parse time, strictly after it was admitted;
+    /// * every phase histogram count `<= accepted`.
+    ///
+    /// Sums are overflow-checked, so a forged scrape is diagnosed, not
+    /// a panic.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("queue_depth", self.queue_depth),
+            ("in_flight", self.in_flight),
+            ("connections", self.connections),
+        ] {
+            if v < 0 {
+                return Err(format!("gauge {name} is negative: {v}"));
+            }
+        }
+        let (opened, closed, open) = (self.conns_opened, self.conns_closed, self.open_conns);
+        if open < 0 || checked_sum(&[closed, open as u64]) != Some(opened) {
+            return Err(format!(
+                "connection churn violated: opened {opened} != closed {closed} + open {open}"
+            ));
+        }
+        if self.chaos_resets > opened {
+            return Err(format!(
+                "chaos resets {} exceed connections opened {opened}",
+                self.chaos_resets
+            ));
+        }
+        let accepted = self.accepted;
+        let settled = checked_sum(&self.terminal_buckets());
+        let connections = self.connections as u64;
+        if settled.and_then(|s| s.checked_add(connections)) != Some(accepted) {
+            return Err(format!(
+                "conservation violated: accepted {accepted} != settled {} + connections \
+                 {connections}",
+                self.settled()
+            ));
+        }
+        let mut tenant_accepted_sum = 0u64;
+        for t in &self.tenants {
+            let id = &t.id;
+            if t.in_flight < 0 {
+                return Err(format!(
+                    "tenant {id} in_flight is negative: {}",
+                    t.in_flight
+                ));
+            }
+            let settled = checked_sum(&t.terminal_buckets());
+            if settled.and_then(|s| s.checked_add(t.in_flight as u64)) != Some(t.accepted) {
+                return Err(format!(
+                    "tenant {id} conservation violated: accepted {} != settled {} + \
+                     in_flight {}",
+                    t.accepted,
+                    t.settled(),
+                    t.in_flight
+                ));
+            }
+            tenant_accepted_sum = tenant_accepted_sum.saturating_add(t.accepted);
+        }
+        if tenant_accepted_sum > accepted {
+            return Err(format!(
+                "tenant ledgers over-claim: sum of tenant accepted {tenant_accepted_sum} \
+                 exceeds global accepted {accepted}"
+            ));
+        }
+        for (name, h) in &self.phases {
+            if h.count > accepted {
+                return Err(format!(
+                    "phase histogram {name} count {} exceeds accepted {accepted}",
+                    h.count
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// One phase's histogram.
     pub fn phase(&self, phase: Phase) -> &Histogram {
-        &self.phases[phase.index()].1
-    }
-
-    /// `(obs counter name, value)` for every counter, in declaration
-    /// order.
-    pub fn obs_counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("serve_accepted", self.accepted),
-            ("serve_completed", self.completed),
-            ("serve_bad_request", self.bad_request),
-            ("serve_shed_overloaded", self.shed_overloaded),
-            ("serve_deadline_exceeded", self.deadline_exceeded),
-            ("serve_drain_rejected", self.drain_rejected),
-            ("serve_io_errors", self.io_errors),
-            ("serve_unknown_mesh", self.unknown_mesh),
-            ("serve_mesh_retired", self.mesh_retired),
-            ("serve_health_probes", self.health_probes),
-            ("serve_chaos_stalls", self.chaos_stalls),
-            ("serve_chaos_slow_writes", self.chaos_slow_writes),
-            ("serve_chaos_resets", self.chaos_resets),
-            ("serve_chaos_worker_pauses", self.chaos_worker_pauses),
-            ("serve_conns_opened", self.conns_opened),
-            ("serve_conns_closed", self.conns_closed),
-        ]
+        &self.phases[phase as usize].1
     }
 
     /// Total chaos events injected, across every kind.
@@ -751,9 +570,78 @@ impl StatsSnapshot {
     }
 }
 
+/// The empty ledger: every counter and gauge zero, every phase
+/// histogram empty.
+impl Default for StatsSnapshot {
+    fn default() -> Self {
+        StatsSnapshot {
+            accepted: 0,
+            completed: 0,
+            bad_request: 0,
+            shed_overloaded: 0,
+            deadline_exceeded: 0,
+            drain_rejected: 0,
+            io_errors: 0,
+            unknown_mesh: 0,
+            mesh_retired: 0,
+            health_probes: 0,
+            tenants: Vec::new(),
+            chaos_stalls: 0,
+            chaos_slow_writes: 0,
+            chaos_resets: 0,
+            chaos_worker_pauses: 0,
+            conns_opened: 0,
+            conns_closed: 0,
+            max_queue_depth: 0,
+            queue_depth: 0,
+            in_flight: 0,
+            connections: 0,
+            open_conns: 0,
+            phases: Phase::ALL.map(|p| (p.name(), Histogram::new())),
+        }
+    }
+}
+
+impl StatsSnapshot {
+    /// The field a terminal bucket lives in.
+    fn bucket(&mut self, which: Counter) -> &mut u64 {
+        match which {
+            Counter::Completed => &mut self.completed,
+            Counter::BadRequest => &mut self.bad_request,
+            Counter::ShedOverloaded => &mut self.shed_overloaded,
+            Counter::DeadlineExceeded => &mut self.deadline_exceeded,
+            Counter::DrainRejected => &mut self.drain_rejected,
+            Counter::IoError => &mut self.io_errors,
+            Counter::UnknownMesh => &mut self.unknown_mesh,
+            Counter::MeshRetired => &mut self.mesh_retired,
+        }
+    }
+
+    /// Tenant `id`'s row, inserted at its sorted place if new.
+    fn tenant_mut(&mut self, id: &str) -> &mut TenantSnapshot {
+        let at = match self.tenants.binary_search_by(|t| t.id.as_str().cmp(id)) {
+            Ok(at) => at,
+            Err(at) => {
+                let row = TenantSnapshot {
+                    id: id.to_string(),
+                    ..TenantSnapshot::default()
+                };
+                self.tenants.insert(at, row);
+                at
+            }
+        };
+        &mut self.tenants[at]
+    }
+}
+
+/// The sum of `values`, or `None` on `u64` overflow.
+fn checked_sum(values: &[u64]) -> Option<u64> {
+    values.iter().try_fold(0u64, |acc, &v| acc.checked_add(v))
+}
+
 /// A point-in-time copy of one tenant's ledger slice (same snapshot
 /// consistency as the global [`StatsSnapshot`] it rides in).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantSnapshot {
     /// The mesh id.
     pub id: String,
@@ -782,20 +670,59 @@ pub struct TenantSnapshot {
 }
 
 impl TenantSnapshot {
-    /// Sum of this tenant's terminal buckets.
-    pub fn settled(&self) -> u64 {
-        self.completed
-            + self.bad_request
-            + self.shed_overloaded
-            + self.deadline_exceeded
-            + self.drain_rejected
-            + self.io_errors
-            + self.mesh_retired
+    /// Every per-tenant counter series, in exposition order (each
+    /// sample carries a `{mesh="<id>"}` label).
+    pub const COUNTERS: [Series<TenantSnapshot, u64>; 8] = [
+        series!("serve_tenant_accepted", accepted),
+        series!("serve_tenant_completed", completed),
+        series!("serve_tenant_bad_request", bad_request),
+        series!("serve_tenant_shed_overloaded", shed_overloaded),
+        series!("serve_tenant_deadline_exceeded", deadline_exceeded),
+        series!("serve_tenant_drain_rejected", drain_rejected),
+        series!("serve_tenant_io_errors", io_errors),
+        series!("serve_tenant_mesh_retired", mesh_retired),
+    ];
+
+    /// The per-tenant in-flight gauge series.
+    pub const IN_FLIGHT: Series<TenantSnapshot, i64> = series!("serve_tenant_in_flight", in_flight);
+
+    /// The per-tenant routing-state gauge series: the registry's
+    /// accounted footprint of keeping that mesh registered.
+    pub const STATE_BYTES: Series<TenantSnapshot, u64> =
+        series!("serve_mesh_state_bytes", state_bytes);
+
+    /// The field a terminal bucket lives in, for the buckets a tenant
+    /// can be charged (not `UnknownMesh`: an unknown id has no tenant).
+    fn bucket(&mut self, which: Counter) -> Option<&mut u64> {
+        match which {
+            Counter::Completed => Some(&mut self.completed),
+            Counter::BadRequest => Some(&mut self.bad_request),
+            Counter::ShedOverloaded => Some(&mut self.shed_overloaded),
+            Counter::DeadlineExceeded => Some(&mut self.deadline_exceeded),
+            Counter::DrainRejected => Some(&mut self.drain_rejected),
+            Counter::IoError => Some(&mut self.io_errors),
+            Counter::MeshRetired => Some(&mut self.mesh_retired),
+            Counter::UnknownMesh => None,
+        }
     }
 
-    /// The tenant-local live law.
-    pub fn conserved_live(&self) -> bool {
-        self.in_flight >= 0 && self.accepted == self.settled() + self.in_flight as u64
+    /// This tenant's terminal buckets.
+    fn terminal_buckets(&self) -> [u64; 7] {
+        [
+            self.completed,
+            self.bad_request,
+            self.shed_overloaded,
+            self.deadline_exceeded,
+            self.drain_rejected,
+            self.io_errors,
+            self.mesh_retired,
+        ]
+    }
+
+    /// Sum of this tenant's terminal buckets (saturating, as
+    /// [`StatsSnapshot::settled`]).
+    pub fn settled(&self) -> u64 {
+        checked_sum(&self.terminal_buckets()).unwrap_or(u64::MAX)
     }
 }
 
@@ -803,12 +730,16 @@ impl TenantSnapshot {
 mod tests {
     use super::*;
 
-    /// Walks one connection through a full transition sequence.
+    /// Walks one connection through the production transition sequence:
+    /// opened, queued, adopted, one line admitted and settled, closed.
     fn settle_one(s: &ServeStats, bucket: Counter) {
-        s.accept();
-        s.enqueued(1);
-        s.dequeued();
-        s.settle(bucket);
+        s.conn_opened();
+        let depth = s.enqueue_started();
+        s.enqueue_committed(depth);
+        s.conn_dequeued();
+        s.admit(1);
+        s.settle_batch(bucket, 1);
+        s.conn_closed();
     }
 
     #[test]
@@ -825,50 +756,52 @@ mod tests {
         ] {
             settle_one(&s, c);
         }
-        s.accept();
         s.shed_at_admission();
         let snap = s.snapshot();
         assert_eq!(snap.accepted, 8);
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         // Health probes are outside the law.
         s.health_probe();
         assert!(s.snapshot().conserved());
-        // An unsettled accept breaks the quiescent law but not the live
-        // one: the connection is on the books.
-        s.accept();
+        // An unsettled admit breaks the quiescent law but not the live
+        // one: the unit is on the books.
+        s.admit(1);
         let snap = s.snapshot();
         assert!(!snap.conserved());
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         assert_eq!(snap.connections, 1);
     }
 
     /// The interleaving that motivated the split enqueue: a worker's
-    /// `dequeued()` lands between the acceptor's push and its commit.
-    /// With accounting preceding publication the depth gauge dips to
-    /// zero, never below; a rejected push rolls back cleanly and leaves
-    /// the high-water mark untouched.
+    /// `conn_dequeued()` lands between the acceptor's push and its
+    /// commit. With accounting preceding publication the depth gauge
+    /// dips to zero, never below; a rejected push rolls back cleanly and
+    /// leaves the high-water mark untouched.
     #[test]
     fn pre_publish_enqueue_never_goes_negative() {
         let s = ServeStats::default();
-        s.accept();
+        s.conn_opened();
         let depth = s.enqueue_started();
         assert_eq!(depth, 1);
-        s.dequeued(); // the race: pop before the commit
+        s.conn_dequeued(); // the race: pop before the commit
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 0, "{snap:?}");
         s.enqueue_committed(depth);
-        s.settle(Counter::Completed);
+        s.admit(1);
+        s.settle_batch(Counter::Completed, 1);
+        s.conn_closed();
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(snap.max_queue_depth, 1);
         assert!(snap.conserved(), "{snap:?}");
 
         let s = ServeStats::default();
-        s.accept();
+        s.conn_opened();
         s.enqueue_started();
         s.enqueue_aborted();
         s.shed_at_admission();
+        s.conn_closed();
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth, 0);
         assert_eq!(
@@ -881,32 +814,34 @@ mod tests {
     #[test]
     fn gauges_track_every_transition() {
         let s = ServeStats::default();
-        s.accept();
+        s.conn_opened();
+        let depth = s.enqueue_started();
+        s.enqueue_committed(depth);
         let snap = s.snapshot();
         assert_eq!(
             (snap.connections, snap.queue_depth, snap.in_flight),
-            (1, 0, 0)
+            (0, 1, 0)
         );
-        s.enqueued(1);
+        s.conn_dequeued();
         let snap = s.snapshot();
         assert_eq!(
             (snap.connections, snap.queue_depth, snap.in_flight),
-            (1, 1, 0)
+            (0, 0, 0)
         );
-        s.dequeued();
+        s.admit(1);
         let snap = s.snapshot();
         assert_eq!(
             (snap.connections, snap.queue_depth, snap.in_flight),
             (1, 0, 1)
         );
-        s.settle(Counter::Completed);
+        s.settle_batch(Counter::Completed, 1);
         let snap = s.snapshot();
         assert_eq!(
             (snap.connections, snap.queue_depth, snap.in_flight),
             (0, 0, 0)
         );
         assert_eq!(snap.max_queue_depth, 1);
-        assert!(snap.conserved_live());
+        assert_eq!(snap.check_conservation(), Ok(()));
     }
 
     #[test]
@@ -919,25 +854,25 @@ mod tests {
         s.record_phase(Phase::RouteCompute, 40);
         s.record_phase(Phase::ReplyWrite, 5);
         let snap = s.snapshot();
-        assert!(snap.phases_within_accepted(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         assert_eq!(snap.phase(Phase::QueueWait).count, 1);
         assert_eq!(snap.phase(Phase::QueueWait).sum, 15);
         for (name, h) in &snap.phases {
             assert_eq!(h.count, 1, "phase {name}");
         }
+        // One more observation than accepted units breaks the law.
+        s.record_phase(Phase::Parse, 3);
+        assert!(s.snapshot().check_conservation().is_err());
     }
 
     #[test]
-    fn obs_mirror_names_cover_every_counter() {
+    fn series_names_cover_every_counter() {
         let s = ServeStats::default();
-        s.accept();
-        s.enqueued(3);
-        let names: Vec<&str> = s
-            .snapshot()
-            .obs_counters()
-            .iter()
-            .map(|(n, _)| *n)
-            .collect();
+        for _ in 0..3 {
+            s.enqueue_started();
+        }
+        s.enqueue_committed(3);
+        let names: Vec<&str> = StatsSnapshot::COUNTERS.iter().map(|c| c.name).collect();
         assert_eq!(names.len(), 16);
         assert!(names.contains(&"serve_unknown_mesh"));
         assert!(names.contains(&"serve_mesh_retired"));
@@ -945,13 +880,13 @@ mod tests {
         assert!(names.contains(&"serve_shed_overloaded"));
         assert!(names.contains(&"serve_conns_opened"));
         assert!(names.contains(&"serve_conns_closed"));
-        for e in [
-            ChaosEvent::Stall,
-            ChaosEvent::SlowWrite,
-            ChaosEvent::Reset,
-            ChaosEvent::WorkerPause,
+        for name in [
+            "serve_chaos_stalls",
+            "serve_chaos_slow_writes",
+            "serve_chaos_resets",
+            "serve_chaos_worker_pauses",
         ] {
-            assert!(names.contains(&e.obs_name()), "{}", e.obs_name());
+            assert!(names.contains(&name), "{name}");
         }
         assert_eq!(s.snapshot().max_queue_depth, 3);
     }
@@ -963,13 +898,14 @@ mod tests {
     fn chaos_events_stay_outside_the_conservation_law() {
         let s = ServeStats::default();
         s.conn_opened();
-        s.enqueued(1);
+        let depth = s.enqueue_started();
+        s.enqueue_committed(depth);
         s.conn_dequeued();
         s.admit(3);
         s.chaos_event(ChaosEvent::Stall);
         s.chaos_event(ChaosEvent::WorkerPause);
         let snap = s.snapshot();
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         assert_eq!(snap.chaos_stalls, 1);
         assert_eq!(snap.chaos_worker_pauses, 1);
         // Two stalled lines complete; a reset kills the last one as io.
@@ -979,7 +915,7 @@ mod tests {
         s.conn_closed();
         let snap = s.snapshot();
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         assert_eq!(snap.chaos_resets, 1);
         assert_eq!(snap.chaos_events(), 3);
         assert_eq!((snap.completed, snap.io_errors), (2, 1));
@@ -992,7 +928,8 @@ mod tests {
     fn batched_admit_and_settle_conserve() {
         let s = ServeStats::default();
         s.conn_opened();
-        s.enqueued(1);
+        let depth = s.enqueue_started();
+        s.enqueue_committed(depth);
         s.conn_dequeued();
         s.admit(32);
         let snap = s.snapshot();
@@ -1001,15 +938,15 @@ mod tests {
         assert_eq!(snap.in_flight, 32);
         assert_eq!(snap.queue_depth, 0);
         assert_eq!((snap.conns_opened, snap.open_conns), (1, 1));
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         assert!(!snap.conserved());
         s.settle_batch(Counter::Completed, 30);
-        s.settle(Counter::BadRequest);
-        s.settle(Counter::DeadlineExceeded);
+        s.settle_batch(Counter::BadRequest, 1);
+        s.settle_batch(Counter::DeadlineExceeded, 1);
         s.conn_closed();
         let snap = s.snapshot();
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         assert_eq!(snap.completed, 30);
         assert_eq!(
             (snap.in_flight, snap.connections, snap.open_conns),
@@ -1022,20 +959,19 @@ mod tests {
         assert!(s.snapshot().conserved());
     }
 
-    /// A connection turned away whole at admission: one shed unit via
-    /// the accept + shed_at_admission pair, plus open/close churn.
+    /// A connection turned away whole at admission: one shed unit,
+    /// accepted and shed in one transition, plus open/close churn.
     #[test]
     fn whole_connection_shed_counts_one_unit() {
         let s = ServeStats::default();
         s.conn_opened();
-        s.accept();
         s.shed_at_admission();
         s.conn_closed();
         let snap = s.snapshot();
         assert_eq!(snap.accepted, 1);
         assert_eq!(snap.shed_overloaded, 1);
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
     }
 
     /// Tenant ledgers conserve on their own and never over-claim the
@@ -1050,14 +986,14 @@ mod tests {
         s.tenant_admit("a", 3);
         s.tenant_admit("b", 2); // one admitted line stays unattributed
         let snap = s.snapshot();
-        assert!(snap.tenants_conserved(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         assert_eq!(snap.tenant("a").unwrap().in_flight, 3);
         assert_eq!(snap.tenant("a").unwrap().state_bytes, 4096);
         // Mid-settle scrape: each law holds on its own ledger.
         s.tenant_settle("a", Counter::Completed, 2);
         s.tenant_settle("a", Counter::ShedOverloaded, 1);
         let snap = s.snapshot();
-        assert!(snap.tenants_conserved(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         s.settle_batch(Counter::Completed, 2);
         s.settle_batch(Counter::ShedOverloaded, 1);
         s.tenant_settle("b", Counter::IoError, 2);
@@ -1071,8 +1007,7 @@ mod tests {
         s.settle_batch(Counter::BadRequest, 1);
         let snap = s.snapshot();
         assert!(snap.conserved(), "{snap:?}");
-        assert!(snap.conserved_live(), "{snap:?}");
-        assert!(snap.tenants_conserved(), "{snap:?}");
+        assert_eq!(snap.check_conservation(), Ok(()), "{snap:?}");
         let b = snap.tenant("b").unwrap();
         assert_eq!((b.accepted, b.io_errors, b.mesh_retired), (3, 2, 1));
         assert_eq!(b.state_bytes, 0);
@@ -1085,6 +1020,12 @@ mod tests {
             ["a", "b"],
             "snapshot rows sort by mesh id"
         );
+        // A tenant claiming more than the global ledger admitted is
+        // diagnosed.
+        s.tenant_admit("a", 10);
+        s.tenant_settle("a", Counter::Completed, 10);
+        let why = s.snapshot().check_conservation().unwrap_err();
+        assert!(why.contains("over-claim"), "{why}");
     }
 
     #[test]
@@ -1098,18 +1039,22 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for i in 0..2_000u64 {
-                        s.accept();
                         if i % 7 == 0 {
                             s.shed_at_admission();
                         } else {
-                            s.enqueued(1);
-                            s.dequeued();
+                            let depth = s.enqueue_started();
+                            s.enqueue_committed(depth);
+                            s.conn_dequeued();
+                            s.admit(1);
                             s.record_phase(Phase::RouteCompute, i % 100);
-                            s.settle(if i % 3 == 0 {
-                                Counter::DeadlineExceeded
-                            } else {
-                                Counter::Completed
-                            });
+                            s.settle_batch(
+                                if i % 3 == 0 {
+                                    Counter::DeadlineExceeded
+                                } else {
+                                    Counter::Completed
+                                },
+                                1,
+                            );
                         }
                     }
                 });
@@ -1117,14 +1062,9 @@ mod tests {
             scope.spawn(|| {
                 for _ in 0..5_000 {
                     let snap = s.snapshot();
-                    assert!(
-                        snap.conserved_live(),
-                        "inconsistent scrape: accepted {} settled {} connections {}",
-                        snap.accepted,
-                        snap.settled(),
-                        snap.connections
-                    );
-                    assert!(snap.phases_within_accepted());
+                    if let Err(why) = snap.check_conservation() {
+                        panic!("inconsistent scrape: {why}");
+                    }
                 }
             });
         });

@@ -121,7 +121,7 @@ fn interleaved_mesh_prefixes_route_on_their_own_mesh_in_order() {
         let summary = server.join().expect("server panicked").expect("run failed");
         let s = summary.stats;
         assert!(s.conserved(), "{s:?}");
-        assert!(s.tenants_conserved(), "{s:?}");
+        assert_eq!(s.check_conservation(), Ok(()), "{s:?}");
         let a = s.tenant("a").expect("tenant a row");
         let b = s.tenant("b").expect("tenant b row");
         assert_eq!(a.accepted, 3, "{s:?}");
@@ -179,7 +179,7 @@ fn over_quota_tenant_sheds_alone() {
         let summary = server.join().expect("server panicked").expect("run failed");
         let s = summary.stats;
         assert!(s.conserved(), "{s:?}");
-        assert!(s.tenants_conserved(), "{s:?}");
+        assert_eq!(s.check_conservation(), Ok(()), "{s:?}");
         let a = s.tenant("a").expect("tenant a row");
         let b = s.tenant("b").expect("tenant b row");
         assert_eq!(b.shed_overloaded, 1, "shed charged to b: {s:?}");
@@ -219,7 +219,7 @@ fn unknown_mesh_is_typed_and_unattributed() {
         let summary = server.join().expect("server panicked").expect("run failed");
         let s = summary.stats;
         assert!(s.conserved(), "{s:?}");
-        assert!(s.tenants_conserved(), "{s:?}");
+        assert_eq!(s.check_conservation(), Ok(()), "{s:?}");
         assert_eq!(s.unknown_mesh, 1, "{s:?}");
         assert!(s.tenant("nope").is_none(), "no ledger for unknown ids");
         let a = s.tenant("a").expect("tenant a row");
@@ -305,15 +305,15 @@ fn admin_retire_drains_in_flight_then_sheds_typed_and_add_revives() {
             .expect("client")
             .scrape()
             .expect("scrape");
-        let exp = oblivion_serve::parse_exposition(&scrape).expect("parse");
-        exp.check_conservation().expect("live scrape conserves");
-        assert!(exp.tenant_ids().contains(&"b".to_string()), "{scrape}");
+        let (snap, _) = oblivion_serve::parse_exposition(&scrape).expect("parse");
+        snap.check_conservation().expect("live scrape conserves");
+        assert!(snap.tenant("b").is_some(), "{scrape}");
 
         ctl.request_shutdown();
         let summary = server.join().expect("server panicked").expect("run failed");
         let s = summary.stats;
         assert!(s.conserved(), "{s:?}");
-        assert!(s.tenants_conserved(), "{s:?}");
+        assert_eq!(s.check_conservation(), Ok(()), "{s:?}");
         let b = s.tenant("b").expect("tenant b row");
         assert_eq!(b.completed, 2, "r-1 and r-4: {s:?}");
         assert_eq!(b.mesh_retired, 1, "r-2: {s:?}");

@@ -298,7 +298,7 @@ unwrap_gate() {
       END { exit found ? 1 : 0 }
     ' "$file" || bad=1
   done < <(find crates/workloads/src crates/faults/src crates/serve/src \
-    crates/wire/src -name '*.rs' | sort)
+    crates/wire/src crates/obs/src -name '*.rs' | sort)
   if [[ $bad -ne 0 ]]; then
     echo "unannotated unwrap()/expect( in error-path crates;" \
       "add \`// ci-allow-unwrap: <why>\` only if provably unreachable" >&2
@@ -306,7 +306,7 @@ unwrap_gate() {
   fi
 }
 
-timed "unwrap/expect gate (workloads, faults, serve)" \
+timed "unwrap/expect gate (workloads, faults, serve, wire, obs)" \
   unwrap_gate
 
 echo "ci: all checks passed"

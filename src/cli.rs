@@ -881,12 +881,6 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         pattern_name: "transpose".into(),
         map: |c| Coord::new(&[c[1], c[0]]),
     };
-    let complement_2d = FixedTraffic {
-        pattern_name: "bit-complement".into(),
-        // Note: the closure captures nothing; complement needs mesh sides,
-        // so it is restricted to square meshes via the lookup below.
-        map: |c| c.with(0, c[0]), // placeholder, replaced below
-    };
     let pattern: &dyn TrafficPattern = match pattern_name {
         "uniform" => &uniform,
         "transpose" => {
@@ -897,7 +891,6 @@ fn cmd_online(args: &Args) -> Result<String, String> {
         }
         other => return Err(format!("unknown pattern `{other}` (uniform|transpose)")),
     };
-    let _ = complement_2d;
     /// Adapts a router to the simulator's path source, forwarding fault
     /// resamples to the router's dedicated entry point.
     struct RouterSource<'a>(&'a dyn ObliviousRouter);
@@ -1306,10 +1299,7 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
     if let Some(c) = &cfg.chaos {
         report_field("serve_chaos_seed", c.seed);
     }
-    for (name, value) in s.obs_counters() {
-        report_field(name, value);
-    }
-    report_field("serve_max_queue_depth", s.max_queue_depth);
+    publish_serve_stats(s);
     report_field(
         "serve_counters_conserved",
         if s.conserved() { 1u64 } else { 0 },
@@ -1372,17 +1362,28 @@ fn cmd_serve(args: &Args) -> Result<String, String> {
             s.settled()
         ));
     }
-    if !s.tenants_conserved() {
+    if let Err(why) = s.check_conservation() {
         return Err(format!(
-            "serve: per-tenant ledgers do not conserve or over-claim the global ledger\n{out}"
-        ));
-    }
-    if !s.phases_within_accepted() {
-        return Err(format!(
-            "serve: a phase histogram recorded more events than accepted connections\n{out}"
+            "serve: the drained ledger violates its laws: {why}\n{out}"
         ));
     }
     Ok(out)
+}
+
+/// Publishes a drained serve ledger into `oblivion-obs`, once, so the
+/// `--metrics-out` run report carries it: every counter and gauge, zeros
+/// included, and the non-empty phase histograms as runtime histograms.
+/// No-op when obs is off.
+fn publish_serve_stats(s: &oblivion_serve::StatsSnapshot) {
+    for c in &oblivion_serve::StatsSnapshot::COUNTERS {
+        oblivion_obs::counter_add(c.name, (c.get)(s));
+    }
+    for g in &oblivion_serve::StatsSnapshot::GAUGES {
+        oblivion_obs::gauge_set(g.name, (g.get)(s));
+    }
+    for phase in oblivion_serve::Phase::ALL {
+        oblivion_obs::record_runtime_histogram(phase.obs_name(), s.phase(phase));
+    }
 }
 
 fn cmd_top(args: &Args) -> Result<String, String> {

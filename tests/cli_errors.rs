@@ -507,3 +507,27 @@ fn stats_tolerates_partially_corrupt_metrics() {
     let _ = std::fs::remove_file(&metrics);
     let _ = std::fs::remove_file(&run_out);
 }
+
+#[test]
+fn stats_survives_a_histogram_with_min_above_max() {
+    // A hand-corrupted histogram line: min > max, so no quantile can be
+    // clamped into [min, max]. `stats` must render it without quantiles
+    // instead of panicking.
+    let metrics = std::env::temp_dir().join("oblivion_cli_err_bad_hist.json");
+    std::fs::write(
+        &metrics,
+        "{\"type\":\"runtime_histogram\",\"name\":\"x\",\"count\":3,\"sum\":9,\
+         \"min\":10,\"max\":5,\"buckets\":[{\"lo\":2,\"hi\":3,\"count\":3}]}\n",
+    )
+    .unwrap();
+    let out = oblivion(&["stats", metrics.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stats panicked: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("x"),
+        "the line should still render: {stdout}"
+    );
+    let _ = std::fs::remove_file(&metrics);
+}
