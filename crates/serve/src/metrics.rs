@@ -356,22 +356,7 @@ pub fn parse_exposition(text: &str) -> Result<(StatsSnapshot, Duration), String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{Counter, Phase, ServeStats};
-
-    /// One connection through the production transitions, with one
-    /// admitted line settled into `bucket` and `phases` recorded.
-    fn serve_one(s: &ServeStats, bucket: Counter, phases: &[(Phase, u64)]) {
-        s.conn_opened();
-        let depth = s.enqueue_started();
-        s.enqueue_committed(depth);
-        s.conn_dequeued();
-        s.admit(1);
-        for &(phase, us) in phases {
-            s.record_phase(phase, us);
-        }
-        s.settle_batch(bucket, 1);
-        s.conn_closed();
-    }
+    use crate::stats::{serve_one, Counter, Phase, ServeStats};
 
     fn busy_stats() -> ServeStats {
         let s = ServeStats::default();
@@ -468,6 +453,8 @@ mod tests {
         assert!(snap.check_conservation().is_err());
         let (mut snap, _) = parse_exposition(&text).unwrap();
         snap.in_flight = -1;
+        assert!(snap.check_conservation().is_err());
+        let (mut snap, _) = parse_exposition(&text).unwrap();
         snap.connections = -1;
         assert!(snap.check_conservation().is_err());
         // The same tampering on the wire: the parse succeeds, the law

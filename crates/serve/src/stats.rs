@@ -130,6 +130,20 @@ pub enum Counter {
     MeshRetired,
 }
 
+impl Counter {
+    /// Every terminal bucket, in declaration order.
+    pub const ALL: [Counter; 8] = [
+        Counter::Completed,
+        Counter::BadRequest,
+        Counter::ShedOverloaded,
+        Counter::DeadlineExceeded,
+        Counter::DrainRejected,
+        Counter::IoError,
+        Counter::UnknownMesh,
+        Counter::MeshRetired,
+    ];
+}
+
 /// The chaos-injected event kinds (see `crate::chaos`): bookkeeping
 /// counters **outside** the conservation law, like connection churn —
 /// an injected stall still settles its requests as completions, an
@@ -182,7 +196,9 @@ impl ServeStats {
             return;
         }
         let mut l = self.lock();
-        *l.bucket(which) += n;
+        let bucket = StatsSnapshot::bucket(which);
+        let v = (bucket.get)(&l) + n;
+        (bucket.set)(&mut l, v);
         l.in_flight -= n as i64;
         l.connections -= n as i64;
     }
@@ -270,11 +286,12 @@ impl ServeStats {
         }
         let mut l = self.lock();
         let t = l.tenant_mut(id);
-        let Some(bucket) = t.bucket(which) else {
+        let Some(bucket) = TenantSnapshot::bucket(which) else {
             debug_assert!(false, "{which:?} is not a tenant bucket");
             return;
         };
-        *bucket += n;
+        let v = (bucket.get)(t) + n;
+        (bucket.set)(t, v);
         t.in_flight -= n as i64;
     }
 
@@ -412,14 +429,14 @@ impl StatsSnapshot {
     /// Every counter series, in exposition order.
     pub const COUNTERS: [Series<StatsSnapshot, u64>; 16] = [
         series!("serve_accepted", accepted),
-        series!("serve_completed", completed),
-        series!("serve_bad_request", bad_request),
-        series!("serve_shed_overloaded", shed_overloaded),
-        series!("serve_deadline_exceeded", deadline_exceeded),
-        series!("serve_drain_rejected", drain_rejected),
-        series!("serve_io_errors", io_errors),
-        series!("serve_unknown_mesh", unknown_mesh),
-        series!("serve_mesh_retired", mesh_retired),
+        Self::bucket(Counter::Completed),
+        Self::bucket(Counter::BadRequest),
+        Self::bucket(Counter::ShedOverloaded),
+        Self::bucket(Counter::DeadlineExceeded),
+        Self::bucket(Counter::DrainRejected),
+        Self::bucket(Counter::IoError),
+        Self::bucket(Counter::UnknownMesh),
+        Self::bucket(Counter::MeshRetired),
         series!("serve_health_probes", health_probes),
         series!("serve_chaos_stalls", chaos_stalls),
         series!("serve_chaos_slow_writes", chaos_slow_writes),
@@ -438,18 +455,24 @@ impl StatsSnapshot {
         series!("serve_max_queue_depth", max_queue_depth),
     ];
 
+    /// The series a terminal bucket lives in: the one list of bucket
+    /// fields, which the counter list and the law are built from.
+    const fn bucket(which: Counter) -> Series<StatsSnapshot, u64> {
+        match which {
+            Counter::Completed => series!("serve_completed", completed),
+            Counter::BadRequest => series!("serve_bad_request", bad_request),
+            Counter::ShedOverloaded => series!("serve_shed_overloaded", shed_overloaded),
+            Counter::DeadlineExceeded => series!("serve_deadline_exceeded", deadline_exceeded),
+            Counter::DrainRejected => series!("serve_drain_rejected", drain_rejected),
+            Counter::IoError => series!("serve_io_errors", io_errors),
+            Counter::UnknownMesh => series!("serve_unknown_mesh", unknown_mesh),
+            Counter::MeshRetired => series!("serve_mesh_retired", mesh_retired),
+        }
+    }
+
     /// The terminal buckets every accepted unit must land in.
     fn terminal_buckets(&self) -> [u64; 8] {
-        [
-            self.completed,
-            self.bad_request,
-            self.shed_overloaded,
-            self.deadline_exceeded,
-            self.drain_rejected,
-            self.io_errors,
-            self.unknown_mesh,
-            self.mesh_retired,
-        ]
+        Counter::ALL.map(|c| (Self::bucket(c).get)(self))
     }
 
     /// Sum of the terminal buckets every accepted unit must land in
@@ -603,20 +626,6 @@ impl Default for StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// The field a terminal bucket lives in.
-    fn bucket(&mut self, which: Counter) -> &mut u64 {
-        match which {
-            Counter::Completed => &mut self.completed,
-            Counter::BadRequest => &mut self.bad_request,
-            Counter::ShedOverloaded => &mut self.shed_overloaded,
-            Counter::DeadlineExceeded => &mut self.deadline_exceeded,
-            Counter::DrainRejected => &mut self.drain_rejected,
-            Counter::IoError => &mut self.io_errors,
-            Counter::UnknownMesh => &mut self.unknown_mesh,
-            Counter::MeshRetired => &mut self.mesh_retired,
-        }
-    }
-
     /// Tenant `id`'s row, inserted at its sorted place if new.
     fn tenant_mut(&mut self, id: &str) -> &mut TenantSnapshot {
         let at = match self.tenants.binary_search_by(|t| t.id.as_str().cmp(id)) {
@@ -674,13 +683,13 @@ impl TenantSnapshot {
     /// sample carries a `{mesh="<id>"}` label).
     pub const COUNTERS: [Series<TenantSnapshot, u64>; 8] = [
         series!("serve_tenant_accepted", accepted),
-        series!("serve_tenant_completed", completed),
-        series!("serve_tenant_bad_request", bad_request),
-        series!("serve_tenant_shed_overloaded", shed_overloaded),
-        series!("serve_tenant_deadline_exceeded", deadline_exceeded),
-        series!("serve_tenant_drain_rejected", drain_rejected),
-        series!("serve_tenant_io_errors", io_errors),
-        series!("serve_tenant_mesh_retired", mesh_retired),
+        Self::charged(Counter::Completed),
+        Self::charged(Counter::BadRequest),
+        Self::charged(Counter::ShedOverloaded),
+        Self::charged(Counter::DeadlineExceeded),
+        Self::charged(Counter::DrainRejected),
+        Self::charged(Counter::IoError),
+        Self::charged(Counter::MeshRetired),
     ];
 
     /// The per-tenant in-flight gauge series.
@@ -691,32 +700,35 @@ impl TenantSnapshot {
     pub const STATE_BYTES: Series<TenantSnapshot, u64> =
         series!("serve_mesh_state_bytes", state_bytes);
 
-    /// The field a terminal bucket lives in, for the buckets a tenant
+    /// The series a terminal bucket lives in, for the buckets a tenant
     /// can be charged (not `UnknownMesh`: an unknown id has no tenant).
-    fn bucket(&mut self, which: Counter) -> Option<&mut u64> {
-        match which {
-            Counter::Completed => Some(&mut self.completed),
-            Counter::BadRequest => Some(&mut self.bad_request),
-            Counter::ShedOverloaded => Some(&mut self.shed_overloaded),
-            Counter::DeadlineExceeded => Some(&mut self.deadline_exceeded),
-            Counter::DrainRejected => Some(&mut self.drain_rejected),
-            Counter::IoError => Some(&mut self.io_errors),
-            Counter::MeshRetired => Some(&mut self.mesh_retired),
-            Counter::UnknownMesh => None,
+    const fn bucket(which: Counter) -> Option<Series<TenantSnapshot, u64>> {
+        Some(match which {
+            Counter::Completed => series!("serve_tenant_completed", completed),
+            Counter::BadRequest => series!("serve_tenant_bad_request", bad_request),
+            Counter::ShedOverloaded => series!("serve_tenant_shed_overloaded", shed_overloaded),
+            Counter::DeadlineExceeded => {
+                series!("serve_tenant_deadline_exceeded", deadline_exceeded)
+            }
+            Counter::DrainRejected => series!("serve_tenant_drain_rejected", drain_rejected),
+            Counter::IoError => series!("serve_tenant_io_errors", io_errors),
+            Counter::MeshRetired => series!("serve_tenant_mesh_retired", mesh_retired),
+            Counter::UnknownMesh => return None,
+        })
+    }
+
+    /// [`Self::bucket`] for a bucket a tenant can be charged. Only
+    /// called in const context, so a wrong `which` fails the build.
+    const fn charged(which: Counter) -> Series<TenantSnapshot, u64> {
+        match Self::bucket(which) {
+            Some(series) => series,
+            None => panic!("not a tenant bucket"),
         }
     }
 
-    /// This tenant's terminal buckets.
-    fn terminal_buckets(&self) -> [u64; 7] {
-        [
-            self.completed,
-            self.bad_request,
-            self.shed_overloaded,
-            self.deadline_exceeded,
-            self.drain_rejected,
-            self.io_errors,
-            self.mesh_retired,
-        ]
+    /// This tenant's terminal buckets (`UnknownMesh` reads as zero).
+    fn terminal_buckets(&self) -> [u64; 8] {
+        Counter::ALL.map(|c| Self::bucket(c).map_or(0, |b| (b.get)(self)))
     }
 
     /// Sum of this tenant's terminal buckets (saturating, as
@@ -726,21 +738,26 @@ impl TenantSnapshot {
     }
 }
 
+/// Walks one connection through the production transition sequence:
+/// opened, queued, adopted, one line admitted with `phases` recorded and
+/// settled into `bucket`, closed. Shared by the serve unit tests.
+#[cfg(test)]
+pub(crate) fn serve_one(s: &ServeStats, bucket: Counter, phases: &[(Phase, u64)]) {
+    s.conn_opened();
+    let depth = s.enqueue_started();
+    s.enqueue_committed(depth);
+    s.conn_dequeued();
+    s.admit(1);
+    for &(phase, us) in phases {
+        s.record_phase(phase, us);
+    }
+    s.settle_batch(bucket, 1);
+    s.conn_closed();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Walks one connection through the production transition sequence:
-    /// opened, queued, adopted, one line admitted and settled, closed.
-    fn settle_one(s: &ServeStats, bucket: Counter) {
-        s.conn_opened();
-        let depth = s.enqueue_started();
-        s.enqueue_committed(depth);
-        s.conn_dequeued();
-        s.admit(1);
-        s.settle_batch(bucket, 1);
-        s.conn_closed();
-    }
 
     #[test]
     fn every_bucket_lands_in_the_conservation_law() {
@@ -754,7 +771,7 @@ mod tests {
             Counter::UnknownMesh,
             Counter::MeshRetired,
         ] {
-            settle_one(&s, c);
+            serve_one(&s, c, &[]);
         }
         s.shed_at_admission();
         let snap = s.snapshot();
@@ -847,7 +864,7 @@ mod tests {
     #[test]
     fn phase_counts_stay_within_accepted() {
         let s = ServeStats::default();
-        settle_one(&s, Counter::Completed);
+        serve_one(&s, Counter::Completed, &[]);
         s.record_phase(Phase::Accept, 2);
         s.record_phase(Phase::QueueWait, 15);
         s.record_phase(Phase::Parse, 3);

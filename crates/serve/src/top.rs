@@ -231,33 +231,18 @@ pub fn run_top(cfg: &TopConfig, out: &mut dyn std::io::Write) -> std::io::Result
 mod tests {
     use super::*;
     use crate::metrics::render_exposition;
-    use crate::stats::{Counter, ServeStats};
+    use crate::stats::{serve_one, Counter, ServeStats};
 
     fn scraped(stats: &ServeStats, uptime_ms: u64) -> (StatsSnapshot, Duration) {
         let text = render_exposition(&stats.snapshot(), Duration::from_millis(uptime_ms));
         parse_exposition(&text).expect("render output parses") // ci-allow-unwrap: test
     }
 
-    /// One connection through the production transitions: one admitted
-    /// line settled as completed, with `phase` recorded if given.
-    fn complete_one(stats: &ServeStats, phase: Option<(Phase, u64)>) {
-        stats.conn_opened();
-        let depth = stats.enqueue_started();
-        stats.enqueue_committed(depth);
-        stats.conn_dequeued();
-        stats.admit(1);
-        if let Some((phase, us)) = phase {
-            stats.record_phase(phase, us);
-        }
-        stats.settle_batch(Counter::Completed, 1);
-        stats.conn_closed();
-    }
-
     #[test]
     fn frames_show_rates_between_scrapes() {
         let stats = ServeStats::default();
         for _ in 0..10 {
-            complete_one(&stats, Some((Phase::RouteCompute, 500)));
+            serve_one(&stats, Counter::Completed, &[(Phase::RouteCompute, 500)]);
         }
         let (first, up1) = scraped(&stats, 1000);
         for _ in 0..5 {
@@ -278,7 +263,7 @@ mod tests {
     #[test]
     fn frames_carry_tenant_rows() {
         let stats = ServeStats::default();
-        complete_one(&stats, None);
+        serve_one(&stats, Counter::Completed, &[]);
         stats.set_tenant_state_bytes("a", 2048);
         stats.tenant_admit("a", 1);
         stats.tenant_settle("a", Counter::Completed, 1);
@@ -292,7 +277,7 @@ mod tests {
     #[test]
     fn conservation_still_checked_through_the_frame_path() {
         let stats = ServeStats::default();
-        complete_one(&stats, Some((Phase::Parse, 42)));
+        serve_one(&stats, Counter::Completed, &[(Phase::Parse, 42)]);
         let (snap, uptime) = scraped(&stats, 500);
         snap.check_conservation().expect("live snapshot conserves"); // ci-allow-unwrap: test
         let frame = render_frame(None, &snap, uptime, Duration::ZERO, "addr", 1);
