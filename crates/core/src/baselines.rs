@@ -16,7 +16,7 @@
 
 use crate::randbits::BitMeter;
 use crate::router::{ObliviousRouter, RoutedPath};
-use crate::subpath::{dim_by_dim, extend_dim_by_dim};
+use crate::subpath::{dim_by_dim, walk_through};
 use oblivion_mesh::{Coord, Mesh, Path, Submesh};
 use rand::RngCore;
 
@@ -138,12 +138,11 @@ impl ObliviousRouter for Valiant {
         }
         let mut meter = BitMeter::new(rng);
         let w = meter.uniform_node(&Submesh::whole(&self.mesh));
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        let order1 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, &w, &order1, &mut nodes);
-        let order2 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, t, &order2, &mut nodes);
+        let orders = [
+            meter.dim_order(self.mesh.dim()),
+            meter.dim_order(self.mesh.dim()),
+        ];
+        let nodes = walk_through(&self.mesh, s, &[w, *t], &orders);
         let mut path = Path::new_unchecked(nodes);
         if self.remove_cycles {
             path.remove_cycles();

@@ -9,7 +9,7 @@
 
 use crate::randbits::{BitMeter, DonorNode};
 use crate::router::{ObliviousRouter, RoutedPath};
-use crate::subpath::extend_dim_by_dim;
+use crate::subpath::walk_through;
 use crate::RandomnessMode;
 use oblivion_decomp::{TorusBlock, TorusDecomp};
 use oblivion_mesh::{Coord, Mesh, Path};
@@ -110,22 +110,21 @@ impl ObliviousRouter for BuschTorus {
         let chain = self.chain(s, t);
         let d = self.mesh.dim();
         let mut meter = BitMeter::new(rng);
-        let mut nodes = vec![*s];
-        let mut cur = *s;
+        let mut stops: Vec<Coord> = Vec::with_capacity(chain.len() - 1);
+        let mut orders: Vec<Vec<usize>> = Vec::new();
         match self.mode {
             RandomnessMode::Fresh => {
                 for (i, block) in chain.iter().enumerate().skip(1) {
-                    let v = if i + 1 == chain.len() {
+                    stops.push(if i + 1 == chain.len() {
                         *t
                     } else {
                         self.fresh_node(block, &mut meter)
-                    };
-                    let order = meter.dim_order(d);
-                    extend_dim_by_dim(&self.mesh, &mut cur, &v, &order, &mut nodes);
+                    });
+                    orders.push(meter.dim_order(d));
                 }
             }
             RandomnessMode::Recycled => {
-                let order = meter.dim_order(d);
+                orders.push(meter.dim_order(d));
                 let width = chain
                     .iter()
                     .map(|b| b.side().trailing_zeros())
@@ -136,15 +135,15 @@ impl ObliviousRouter for BuschTorus {
                     DonorNode::draw(&mut meter, d, width),
                 ];
                 for (i, block) in chain.iter().enumerate().skip(1) {
-                    let v = if i + 1 == chain.len() {
+                    stops.push(if i + 1 == chain.len() {
                         *t
                     } else {
                         self.donor_node(block, &donors[i % 2])
-                    };
-                    extend_dim_by_dim(&self.mesh, &mut cur, &v, &order, &mut nodes);
+                    });
                 }
             }
         }
+        let nodes = walk_through(&self.mesh, s, &stops, &orders);
         let mut path = Path::new_unchecked(nodes);
         if self.remove_cycles {
             path.remove_cycles();

@@ -16,7 +16,7 @@
 //!   produce the intermediate nodes: `O(d log(D'd))` bits, Lemma 5.4.
 
 use crate::randbits::{BitMeter, DonorNode};
-use crate::subpath::extend_dim_by_dim;
+use crate::subpath::walk_through;
 use oblivion_mesh::{Coord, Mesh, Path, Submesh};
 
 /// Randomness discipline for the hierarchical routers (Section 5.3).
@@ -101,25 +101,28 @@ pub fn path_through_chain_clipped(
         }
     };
 
-    let mut nodes = vec![s];
-    let mut cur = s;
+    // Every way-point (and dimension order) is drawn before any walking:
+    // the walk draws no bits, so the metered stream is the same as if the
+    // legs were interleaved, and the summed leg lengths size the walk
+    // exactly.
+    let mut stops: Vec<Coord> = Vec::with_capacity(chain.len() - 1);
+    let mut orders: Vec<Vec<usize>> = Vec::new();
     match mode {
         RandomnessMode::Fresh => {
             for (i, sub) in chain.iter().enumerate().skip(1) {
                 if sub == &chain[i - 1] {
                     continue;
                 }
-                let v = if i + 1 == chain.len() {
+                stops.push(if i + 1 == chain.len() {
                     t
                 } else {
                     meter.uniform_node(&clipped(sub))
-                };
-                let order = meter.dim_order(d);
-                extend_dim_by_dim(mesh, &mut cur, &v, &order, &mut nodes);
+                });
+                orders.push(meter.dim_order(d));
             }
         }
         RandomnessMode::Recycled => {
-            let order = meter.dim_order(d);
+            orders.push(meter.dim_order(d));
             // Donor width: enough bits for the widest power-aligned block.
             let width = chain
                 .iter()
@@ -146,16 +149,15 @@ pub fn path_through_chain_clipped(
                 if sub == &chain[i - 1] {
                     continue;
                 }
-                let v = if i + 1 == chain.len() {
+                stops.push(if i + 1 == chain.len() {
                     t
                 } else {
                     donor_or_fresh_node(&clipped(sub), &donors[i % 2], meter)
-                };
-                extend_dim_by_dim(mesh, &mut cur, &v, &order, &mut nodes);
+                });
             }
         }
     }
-    Path::new_unchecked(nodes)
+    Path::new_unchecked(walk_through(mesh, &s, &stops, &orders))
 }
 
 #[cfg(test)]

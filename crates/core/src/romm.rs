@@ -12,7 +12,7 @@
 
 use crate::randbits::BitMeter;
 use crate::router::{ObliviousRouter, RoutedPath};
-use crate::subpath::extend_dim_by_dim;
+use crate::subpath::walk_through;
 use oblivion_mesh::{Coord, Mesh, Path, Submesh};
 use rand::RngCore;
 
@@ -63,12 +63,11 @@ impl ObliviousRouter for Romm {
         let mut meter = BitMeter::new(rng);
         let bbox = Submesh::bounding_box(s, t);
         let w = meter.uniform_node(&bbox);
-        let mut nodes = vec![*s];
-        let mut cur = *s;
-        let order1 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, &w, &order1, &mut nodes);
-        let order2 = meter.dim_order(self.mesh.dim());
-        extend_dim_by_dim(&self.mesh, &mut cur, t, &order2, &mut nodes);
+        let orders = [
+            meter.dim_order(self.mesh.dim()),
+            meter.dim_order(self.mesh.dim()),
+        ];
+        let nodes = walk_through(&self.mesh, s, &[w, *t], &orders);
         RoutedPath {
             path: Path::new_unchecked(nodes),
             random_bits: meter.bits_used(),

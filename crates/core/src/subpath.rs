@@ -6,11 +6,14 @@
 //! "at most one-bend" path of Lemma 3.5. Such a walk is always a shortest
 //! path between its endpoints.
 
-use oblivion_mesh::{Coord, Mesh};
+use oblivion_mesh::{Coord, Mesh, Topology};
 
 /// Appends to `out` the nodes of the dimension-by-dimension shortest walk
 /// from `*cur` to `to`, visiting dimensions in `order`; `*cur` itself is
 /// **not** appended (callers seed it). Afterwards `*cur == to`.
+///
+/// Each axis is one straight run of `mesh.axis_dist` hops in a fixed
+/// direction — on a torus the shorter way round, forward on a tie.
 pub fn extend_dim_by_dim(
     mesh: &Mesh,
     cur: &mut Coord,
@@ -21,21 +24,57 @@ pub fn extend_dim_by_dim(
     debug_assert_eq!(cur.dim(), to.dim());
     debug_assert_eq!(order.len(), cur.dim());
     for &axis in order {
-        while let Some(next) = mesh.step_towards(cur, to[axis], axis) {
-            out.push(next);
-            *cur = next;
+        let (mut x, y, m) = (cur[axis], to[axis], mesh.side(axis));
+        let hops = mesh.axis_dist(axis, x, y);
+        let forward = match mesh.topology() {
+            Topology::Mesh => y > x,
+            Topology::Torus => (u64::from(y) + u64::from(m) - u64::from(x)) % u64::from(m) == hops,
+        };
+        for _ in 0..hops {
+            x = match (forward, x) {
+                (true, _) if x + 1 == m => 0,
+                (true, _) => x + 1,
+                (false, 0) => m - 1,
+                (false, _) => x - 1,
+            };
+            cur[axis] = x;
+            out.push(*cur);
         }
     }
     debug_assert_eq!(cur, to);
 }
 
+/// The walk from `from` through every way-point in `stops`, leg `i`
+/// ending at `stops[i]` and correcting axes in `orders[i]` — or in
+/// `orders[0]` for every leg when a single order is given. The node list
+/// (both endpoints included) is allocated once at its exact length.
+pub(crate) fn walk_through<O: AsRef<[usize]>>(
+    mesh: &Mesh,
+    from: &Coord,
+    stops: &[Coord],
+    orders: &[O],
+) -> Vec<Coord> {
+    debug_assert!(orders.len() == 1 || orders.len() == stops.len());
+    let mut hops = 0;
+    let mut prev = from;
+    for v in stops {
+        hops += mesh.dist(prev, v) as usize;
+        prev = v;
+    }
+    let mut out = Vec::with_capacity(hops + 1);
+    out.push(*from);
+    let mut cur = *from;
+    for (i, v) in stops.iter().enumerate() {
+        let order = orders.get(i).unwrap_or(&orders[0]);
+        extend_dim_by_dim(mesh, &mut cur, v, order.as_ref(), &mut out);
+    }
+    out
+}
+
 /// The full dimension-by-dimension walk from `from` to `to` as a node list
 /// (including both endpoints).
 pub fn dim_by_dim(mesh: &Mesh, from: &Coord, to: &Coord, order: &[usize]) -> Vec<Coord> {
-    let mut out = vec![*from];
-    let mut cur = *from;
-    extend_dim_by_dim(mesh, &mut cur, to, order, &mut out);
-    out
+    walk_through(mesh, from, std::slice::from_ref(to), &[order])
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Packet paths: walks through the mesh.
 
-use crate::coord::Coord;
+use crate::coord::{Coord, MAX_DIM};
 use crate::mesh::{EdgeId, Mesh};
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 /// A walk through the mesh: a sequence of pairwise-adjacent coordinates.
 ///
@@ -107,27 +107,42 @@ impl Path {
     /// endpoints that uses a subsequence of the original links.
     ///
     /// The paper observes (after Lemma 3.8) that cycles can always be
-    /// removed without increasing expected congestion. Implementation: scan
+    /// removed without increasing expected congestion. Semantics: scan
     /// left to right; on revisiting a node, cut the loop back to its first
     /// occurrence. The result visits each node at most once.
+    ///
+    /// Mechanism: the walk is compacted in place behind a write cursor
+    /// `w`, so `nodes[..w]` is always the simple prefix kept so far. Each
+    /// node maps to a slot of the walk's own bounding box (for a valid
+    /// walk never larger than the mesh), and the slot remembers the
+    /// node's position in the prefix. A slot is trusted only if
+    /// `pos < w && nodes[pos] == c` — the sparse-set check — so stale
+    /// slots left by cut-off loops or earlier calls are harmless: the
+    /// table is never cleared and nothing is hashed or deleted. The table
+    /// is a per-thread `Vec<u32>` reused across calls (tables above 2^18
+    /// entries live for one call only). Finally the node vector is
+    /// trimmed to its exact length, since callers such as the simulators
+    /// keep every path alive for a whole run.
     pub fn remove_cycles(&mut self) {
-        if self.nodes.len() <= 2 {
-            return;
-        }
-        let mut first_seen: HashMap<Coord, usize> = HashMap::with_capacity(self.nodes.len());
-        let mut out: Vec<Coord> = Vec::with_capacity(self.nodes.len());
-        for &c in &self.nodes {
-            if let Some(&pos) = first_seen.get(&c) {
-                // Unwind the loop: drop everything after the first visit.
-                for dropped in out.drain(pos + 1..) {
-                    first_seen.remove(&dropped);
+        let n = self.nodes.len();
+        if n > 2 {
+            assert!(u32::try_from(n).is_ok(), "walk of {n} nodes is too long");
+            let index = BoxIndex::of(&self.nodes);
+            let nodes = &mut self.nodes;
+            let w = SLOTS.with(|cached| {
+                let mut cached = cached.borrow_mut();
+                if index.volume <= CACHED_SLOTS {
+                    if cached.len() < index.volume {
+                        cached.resize(index.volume, 0);
+                    }
+                    compact(nodes, &index, &mut cached)
+                } else {
+                    compact(nodes, &index, &mut vec![0; index.volume])
                 }
-            } else {
-                first_seen.insert(c, out.len());
-                out.push(c);
-            }
+            });
+            self.nodes.truncate(w);
         }
-        self.nodes = out;
+        self.nodes.shrink_to_fit();
     }
 
     /// Returns a cycle-free copy (see [`Self::remove_cycles`]).
@@ -155,6 +170,78 @@ impl Path {
         let mut seen = std::collections::HashSet::with_capacity(self.nodes.len());
         self.nodes.iter().all(|c| seen.insert(*c))
     }
+}
+
+/// Slot tables up to this many entries (1 MiB) stay cached on their
+/// thread between [`Path::remove_cycles`] calls.
+const CACHED_SLOTS: usize = 1 << 18;
+
+thread_local! {
+    /// The reusable slot table of [`Path::remove_cycles`]. Per thread, not
+    /// per router: routers are `Sync` and cheap to build, and a walk's
+    /// bounding box bounds the table without knowing its mesh.
+    static SLOTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Row-major slot numbering of a walk's bounding box.
+struct BoxIndex {
+    lo: Coord,
+    strides: [usize; MAX_DIM],
+    volume: usize,
+}
+
+impl BoxIndex {
+    fn of(nodes: &[Coord]) -> Self {
+        let (mut lo, mut hi) = (nodes[0], nodes[0]);
+        let d = lo.dim();
+        for c in &nodes[1..] {
+            for i in 0..d {
+                lo[i] = lo[i].min(c[i]);
+                hi[i] = hi[i].max(c[i]);
+            }
+        }
+        let mut strides = [0; MAX_DIM];
+        let mut volume = 1usize;
+        for i in 0..d {
+            strides[i] = volume;
+            volume = volume
+                .checked_mul((hi[i] - lo[i]) as usize + 1)
+                .expect("walk's bounding box overflows usize");
+        }
+        Self {
+            lo,
+            strides,
+            volume,
+        }
+    }
+
+    #[inline]
+    fn slot(&self, c: &Coord) -> usize {
+        let mut k = 0;
+        for i in 0..c.dim() {
+            k += (c[i] - self.lo[i]) as usize * self.strides[i];
+        }
+        k
+    }
+}
+
+/// Cuts every loop out of `nodes` in place (see [`Path::remove_cycles`])
+/// and returns the kept length.
+fn compact(nodes: &mut [Coord], index: &BoxIndex, slots: &mut [u32]) -> usize {
+    let mut w = 0;
+    for r in 0..nodes.len() {
+        let c = nodes[r];
+        let k = index.slot(&c);
+        let pos = slots[k] as usize;
+        if pos < w && nodes[pos] == c {
+            w = pos + 1;
+        } else {
+            slots[k] = w as u32;
+            nodes[w] = c;
+            w += 1;
+        }
+    }
+    w
 }
 
 #[cfg(test)]
@@ -273,6 +360,31 @@ mod tests {
         let (s, t) = (*p.source(), *p.target());
         p.remove_cycles();
         assert_eq!((*p.source(), *p.target()), (s, t));
+    }
+
+    #[test]
+    fn remove_cycles_trims_to_exact_length() {
+        let m = Mesh::new_mesh(&[4, 4]);
+        let mut nodes = Vec::with_capacity(64);
+        nodes.extend([c(&[0, 0]), c(&[0, 1]), c(&[1, 1]), c(&[0, 1]), c(&[0, 2])]);
+        let mut p = Path::new(&m, nodes);
+        p.remove_cycles();
+        assert_eq!(p.nodes(), &[c(&[0, 0]), c(&[0, 1]), c(&[0, 2])]);
+        assert_eq!(p.nodes.capacity(), p.nodes.len());
+    }
+
+    #[test]
+    fn remove_cycles_ignores_stale_slots() {
+        // The first walk leaves slots pointing at positions the second
+        // walk fills with other nodes; only the sparse-set check keeps
+        // them from reading as revisits.
+        let m = Mesh::new_mesh(&[4, 4]);
+        let mut a = Path::new(&m, vec![c(&[1, 1]), c(&[1, 2]), c(&[2, 2]), c(&[2, 1])]);
+        a.remove_cycles();
+        let walk = vec![c(&[2, 1]), c(&[2, 2]), c(&[1, 2]), c(&[1, 1]), c(&[1, 0])];
+        let mut b = Path::new(&m, walk.clone());
+        b.remove_cycles();
+        assert_eq!(b.nodes(), &walk[..]);
     }
 
     #[test]

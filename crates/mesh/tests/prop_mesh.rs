@@ -2,6 +2,7 @@
 
 use oblivion_mesh::{Coord, Mesh, Path, Submesh, Topology};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Strategy: a mesh with 1–4 dimensions, sides 1–12, ≤ 4096 nodes.
 fn arb_mesh() -> impl Strategy<Value = Mesh> {
@@ -24,9 +25,67 @@ fn arb_mesh() -> impl Strategy<Value = Mesh> {
     )
 }
 
+/// Strategy: a mesh or torus with 1–4 dimensions and sides 1–3, so long
+/// random walks revisit nodes over and over.
+fn arb_tiny_mesh() -> impl Strategy<Value = Mesh> {
+    (prop::collection::vec(1u32..=3, 1..=4), prop::bool::ANY).prop_map(|(dims, torus)| {
+        Mesh::new(
+            &dims,
+            if torus {
+                Topology::Torus
+            } else {
+                Topology::Mesh
+            },
+        )
+    })
+}
+
+/// A random walk from `start`, hop `i` going to neighbor `steps[i]`
+/// (mod the degree); stops early on a single-node mesh.
+fn random_walk(mesh: &Mesh, start: Coord, steps: &[usize]) -> Vec<Coord> {
+    let mut nodes = vec![start];
+    let mut cur = start;
+    for &s in steps {
+        let nbs = mesh.neighbors(&cur);
+        if nbs.is_empty() {
+            break;
+        }
+        cur = nbs[s % nbs.len()];
+        nodes.push(cur);
+    }
+    nodes
+}
+
+/// The original cycle removal — a left-to-right scan with a `HashMap`
+/// of first visits, unwinding loops back to the first visit — kept as
+/// the oracle that `Path::remove_cycles` must match node for node.
+fn remove_cycles_oracle(walk: &[Coord]) -> Vec<Coord> {
+    if walk.len() <= 2 {
+        return walk.to_vec();
+    }
+    let mut first_seen: HashMap<Coord, usize> = HashMap::with_capacity(walk.len());
+    let mut out: Vec<Coord> = Vec::with_capacity(walk.len());
+    for &c in walk {
+        if let Some(&pos) = first_seen.get(&c) {
+            for dropped in out.drain(pos + 1..) {
+                first_seen.remove(&dropped);
+            }
+        } else {
+            first_seen.insert(c, out.len());
+            out.push(c);
+        }
+    }
+    out
+}
+
 /// Strategy: a mesh plus one of its coordinates.
 fn mesh_and_coord() -> impl Strategy<Value = (Mesh, Coord)> {
-    arb_mesh().prop_flat_map(|mesh| {
+    with_coord(arb_mesh())
+}
+
+/// Strategy: a mesh drawn from `meshes` plus one of its coordinates.
+fn with_coord(meshes: impl Strategy<Value = Mesh>) -> impl Strategy<Value = (Mesh, Coord)> {
+    meshes.prop_flat_map(|mesh| {
         let n = mesh.node_count();
         (Just(mesh), 0..n).prop_map(|(mesh, i)| {
             let c = mesh.coord(oblivion_mesh::NodeId(i));
@@ -141,16 +200,7 @@ proptest! {
     /// never longer, and idempotent.
     #[test]
     fn cycle_removal_properties((mesh, start) in mesh_and_coord(), steps in prop::collection::vec(0usize..6, 0..40)) {
-        // Random walk.
-        let mut nodes = vec![start];
-        let mut cur = start;
-        for s in steps {
-            let nbs = mesh.neighbors(&cur);
-            if nbs.is_empty() { break; }
-            cur = nbs[s % nbs.len()];
-            nodes.push(cur);
-        }
-        let p = Path::new(&mesh, nodes);
+        let p = Path::new(&mesh, random_walk(&mesh, start, &steps));
         let q = p.without_cycles();
         prop_assert!(q.is_simple());
         prop_assert!(q.is_valid(&mesh));
@@ -160,5 +210,28 @@ proptest! {
         prop_assert_eq!(q.without_cycles(), q.clone());
         // A simple walk is at least as long as the distance.
         prop_assert!(q.len() as u64 >= mesh.dist(p.source(), p.target()));
+    }
+
+    /// Cycle removal keeps exactly the nodes the `HashMap` oracle keeps,
+    /// on long walks over meshes and tori (which wrap).
+    #[test]
+    fn cycle_removal_matches_oracle((mesh, start) in mesh_and_coord(), steps in prop::collection::vec(0usize..16, 0..300)) {
+        let walk = random_walk(&mesh, start, &steps);
+        let mut p = Path::new(&mesh, walk.clone());
+        p.remove_cycles();
+        prop_assert_eq!(p.nodes(), &remove_cycles_oracle(&walk)[..]);
+    }
+
+    /// The same on meshes of 1–81 nodes, where a long walk revisits
+    /// almost every node many times.
+    #[test]
+    fn cycle_removal_matches_oracle_with_many_revisits(
+        (mesh, start) in with_coord(arb_tiny_mesh()),
+        steps in prop::collection::vec(0usize..16, 0..400),
+    ) {
+        let walk = random_walk(&mesh, start, &steps);
+        let mut p = Path::new(&mesh, walk.clone());
+        p.remove_cycles();
+        prop_assert_eq!(p.nodes(), &remove_cycles_oracle(&walk)[..]);
     }
 }

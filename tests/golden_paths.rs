@@ -37,8 +37,8 @@ impl Fnv {
 /// 4096 queries with uniform endpoints and private seeds, all drawn from
 /// one fixed generator.
 fn queries(mesh: &Mesh) -> Vec<PathQuery> {
-    let mut rng = StdRng::seed_from_u64(0x601d_e11);
-    let mut node = |rng: &mut StdRng| {
+    let mut rng = StdRng::seed_from_u64(0x0601_de11);
+    let node = |rng: &mut StdRng| {
         let xs: Vec<u32> = mesh.dims().iter().map(|&m| rng.gen_range(0..m)).collect();
         Coord::new(&xs)
     };
@@ -116,5 +116,9 @@ fn golden_path_digests() {
             wrong.push(format!("{name}: got {got:#018x}, want {want:#018x}"));
         }
     }
-    assert!(wrong.is_empty(), "path bytes changed:\n{}", wrong.join("\n"));
+    assert!(
+        wrong.is_empty(),
+        "path bytes changed:\n{}",
+        wrong.join("\n")
+    );
 }
