@@ -1099,11 +1099,12 @@ fn dispatch_burst<'a>(
             }
             Slot::Route { id, qi, tenant, .. } => {
                 let routed = &scratch.routed[*qi];
-                scratch.reply.push_str(&wire::format_path_line_with_id(
+                wire::push_path_line(
+                    &mut scratch.reply,
                     &routed.path,
                     tenant.router().mesh().dim(),
                     id.as_deref(),
-                ));
+                );
                 settled[0] += 1;
             }
         }

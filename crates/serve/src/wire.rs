@@ -64,7 +64,7 @@
 //!
 //! [`select_path`]: oblivion_core::ObliviousRouter::select_path
 
-use oblivion_mesh::{Coord, Mesh, Path};
+use oblivion_mesh::{Coord, Mesh, Path, MAX_DIM};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -173,32 +173,110 @@ pub enum Response {
 
 /// Formats a coordinate for the wire: `3,4` (no parentheses).
 pub fn format_coord(c: &Coord, dim: usize) -> String {
-    let mut s = String::new();
-    for i in 0..dim {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&c[i].to_string());
-    }
+    let mut s = String::with_capacity(coord_len(c, dim));
+    push_coord(&mut s, c, dim);
     s
 }
 
+/// Appends the wire form of a coordinate ([`format_coord`]) to `out`.
+fn push_coord(out: &mut String, c: &Coord, dim: usize) {
+    for (i, &x) in c.as_slice()[..dim].iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u32(out, x);
+    }
+}
+
+/// Appends the decimal digits of `x`, as `x.to_string()` spells them.
+fn push_u32(out: &mut String, mut x: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Length in bytes of [`format_coord`]'s output.
+fn coord_len(c: &Coord, dim: usize) -> usize {
+    let digits: usize = c.as_slice()[..dim]
+        .iter()
+        .map(|&x| x.checked_ilog10().map_or(1, |l| l as usize + 1))
+        .sum();
+    digits + dim.saturating_sub(1)
+}
+
 /// Parses a wire coordinate against a mesh (dimension and bounds check).
+/// Components are parsed into a fixed array on the stack.
 pub fn parse_coord(token: &str, mesh: &Mesh) -> Result<Coord, String> {
-    let xs: Result<Vec<u32>, _> = token.split(',').map(str::parse::<u32>).collect();
-    let xs = xs.map_err(|e| format!("bad coordinate `{token}`: {e}"))?;
-    if xs.len() != mesh.dim() {
+    let (xs, n) = match plain_components(token) {
+        Some(plain) => plain,
+        None => components(token)?,
+    };
+    if n != mesh.dim() {
         return Err(format!(
-            "coordinate `{token}` has {} components, mesh has {} dimensions",
-            xs.len(),
+            "coordinate `{token}` has {n} components, mesh has {} dimensions",
             mesh.dim()
         ));
     }
-    let c = Coord::new(&xs);
+    let c = Coord::new(&xs[..n]);
     if !mesh.contains(&c) {
         return Err(format!("coordinate `{token}` outside the mesh"));
     }
     Ok(c)
+}
+
+/// The components of a token of plain decimal digits and commas, in one
+/// pass over its bytes; `None` for anything else (a sign, an empty or
+/// overflowing component, more than [`MAX_DIM`] components), which
+/// [`components`] then parses or rejects.
+fn plain_components(token: &str) -> Option<([u32; MAX_DIM], usize)> {
+    let mut xs = [0u32; MAX_DIM];
+    let mut n = 0;
+    let mut empty = true;
+    for &b in token.as_bytes() {
+        if b == b',' {
+            n += 1;
+            if empty || n == MAX_DIM {
+                return None;
+            }
+            empty = true;
+        } else {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                return None;
+            }
+            xs[n] = xs[n].checked_mul(10)?.checked_add(u32::from(d))?;
+            empty = false;
+        }
+    }
+    (!empty).then_some((xs, n + 1))
+}
+
+/// Every component through `str::parse::<u32>`, whose error text a
+/// `BAD_REQUEST` reply echoes. Components past [`MAX_DIM`] are counted
+/// but not kept, so the count error names the token's true length.
+fn components(token: &str) -> Result<([u32; MAX_DIM], usize), String> {
+    let mut xs = [0u32; MAX_DIM];
+    let mut n = 0;
+    for part in token.split(',') {
+        let x = part
+            .parse::<u32>()
+            .map_err(|e| format!("bad coordinate `{token}`: {e}"))?;
+        if let Some(slot) = xs.get_mut(n) {
+            *slot = x;
+        }
+        n += 1;
+    }
+    Ok((xs, n))
 }
 
 /// Checks a wire trace ID: 1..=[`MAX_REQUEST_ID`] chars of
@@ -296,19 +374,28 @@ pub fn format_path_line(path: &Path, dim: usize) -> String {
 
 /// [`format_path_line`] with an optional echoed trace ID (`OK id=<id>
 /// <hops...>`). With `None` the bytes are identical to the pre-ID wire
-/// format.
+/// format. The line is sized exactly before it is written.
 pub fn format_path_line_with_id(path: &Path, dim: usize, id: Option<&str>) -> String {
-    let mut s = String::from("OK");
+    let hops: usize = path.nodes().iter().map(|c| 1 + coord_len(c, dim)).sum();
+    let mut s = String::with_capacity(3 + id.map_or(0, |id| 4 + id.len()) + hops);
+    push_path_line(&mut s, path, dim, id);
+    s
+}
+
+/// Appends the `OK` line of [`format_path_line_with_id`] to `out`,
+/// writing every hop's digits in place: the server assembles a whole
+/// burst's replies this way in one reused buffer.
+pub fn push_path_line(out: &mut String, path: &Path, dim: usize, id: Option<&str>) {
+    out.push_str("OK");
     if let Some(id) = id {
-        s.push_str(" id=");
-        s.push_str(id);
+        out.push_str(" id=");
+        out.push_str(id);
     }
     for hop in path.nodes() {
-        s.push(' ');
-        s.push_str(&format_coord(hop, dim));
+        out.push(' ');
+        push_coord(out, hop, dim);
     }
-    s.push('\n');
-    s
+    out.push('\n');
 }
 
 /// Formats an `ERR` line; `detail` is appended for `BAD_REQUEST`.

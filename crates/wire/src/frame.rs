@@ -15,21 +15,38 @@ pub enum Framed {
     Bad(&'static str),
 }
 
+/// Whether an unterminated tail can no longer become a line within
+/// `max_line` bytes. The cap does not count a line's CR, so a tail one
+/// byte over it is still live while that byte is a CR; poisoning it
+/// would make the outcome depend on where a read happened to split the
+/// CRLF.
+fn over_long(tail: &[u8], max_line: usize) -> bool {
+    tail.len() > max_line && !(tail.len() == max_line + 1 && tail.ends_with(b"\r"))
+}
+
 /// Incremental LF framing for a pipelined connection.
 ///
 /// Bytes read off the socket (or pipe) go in via [`FrameBuf::extend`];
 /// complete lines pop out of [`FrameBuf::next_line`] one at a time, and
 /// a partial trailing line survives untouched until the next read.
+/// Popping a line only advances a read cursor; the popped bytes are
+/// reclaimed once per `extend`, so a read of many pipelined lines costs
+/// one move of its partial tail, not one per line.
 ///
 /// Memory stays bounded no matter what the peer sends: once an
 /// unterminated line passes the `max_line` cap the buffer is poisoned
 /// and further bytes are discarded until the next LF, which then yields
-/// a single [`Framed::Bad`]. A peer that never sends the LF is handled
-/// by the reader's per-line deadline on partial input, not by memory
-/// growth here.
+/// a single [`Framed::Bad`]. A reader that pops every line after each
+/// `extend` never holds more than `max_line + 1` bytes (a partial line
+/// and its CR) plus one read (see [`FrameBuf::retained`]). Where reads
+/// split the stream never changes the lines that pop out. A peer that
+/// never sends the LF is handled by the reader's per-line deadline on
+/// partial input, not by memory growth here.
 #[derive(Debug)]
 pub struct FrameBuf {
     buf: Vec<u8>,
+    /// Read cursor: `buf[..start]` holds lines already popped.
+    start: usize,
     max_line: usize,
     poisoned: bool,
 }
@@ -39,6 +56,7 @@ impl FrameBuf {
     pub fn new(max_line: usize) -> Self {
         Self {
             buf: Vec::new(),
+            start: 0,
             max_line,
             poisoned: false,
         }
@@ -46,8 +64,13 @@ impl FrameBuf {
 
     /// Appends bytes read off the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
-        if self.poisoned {
-            // Discard up to (and excluding) the resynchronizing LF.
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+        if self.poisoned && self.buf.is_empty() {
+            // Discard up to (and excluding) the resynchronizing LF. Once
+            // that LF is buffered, later bytes are kept as they come.
             match bytes.iter().position(|&b| b == b'\n') {
                 Some(nl) => self.buf.extend_from_slice(&bytes[nl..]),
                 None => return,
@@ -57,7 +80,7 @@ impl FrameBuf {
         }
         // Over-long unterminated tail: poison and drop the bytes so a
         // hostile peer cannot grow server memory (slow-loris defence).
-        if !self.buf.contains(&b'\n') && self.buf.len() > self.max_line {
+        if over_long(&self.buf, self.max_line) && !self.buf.contains(&b'\n') {
             self.buf.clear();
             self.poisoned = true;
         }
@@ -66,41 +89,49 @@ impl FrameBuf {
     /// Pops the next complete line, if any. `None` means every buffered
     /// byte belongs to a still-partial trailing line.
     pub fn next_line(&mut self) -> Option<Framed> {
-        let nl = match self.buf.iter().position(|&b| b == b'\n') {
-            Some(nl) => nl,
-            None => {
-                if !self.poisoned && self.buf.len() > self.max_line {
-                    self.buf.clear();
-                    self.poisoned = true;
-                }
-                return None;
+        let rest = &self.buf[self.start..];
+        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+            if !self.poisoned && over_long(rest, self.max_line) {
+                self.buf.clear();
+                self.start = 0;
+                self.poisoned = true;
             }
+            return None;
         };
-        let line: Vec<u8> = self.buf.drain(..=nl).collect();
-        let mut line = &line[..nl];
-        if self.poisoned {
+        let framed = if self.poisoned {
             // The LF resynchronized the stream; the discarded line
             // becomes one in-order error.
             self.poisoned = false;
-            return Some(Framed::Bad("request line too long"));
+            Framed::Bad("request line too long")
+        } else {
+            let line = rest[..nl].strip_suffix(b"\r").unwrap_or(&rest[..nl]);
+            if line.len() > self.max_line {
+                Framed::Bad("request line too long")
+            } else {
+                match std::str::from_utf8(line) {
+                    Ok(s) => Framed::Line(s.to_owned()),
+                    Err(_) => Framed::Bad("request line is not valid UTF-8"),
+                }
+            }
+        };
+        self.start += nl + 1;
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
         }
-        if line.ends_with(b"\r") {
-            line = &line[..line.len() - 1];
-        }
-        if line.len() > self.max_line {
-            return Some(Framed::Bad("request line too long"));
-        }
-        match std::str::from_utf8(line) {
-            Ok(s) => Some(Framed::Line(s.to_string())),
-            Err(_) => Some(Framed::Bad("request line is not valid UTF-8")),
-        }
+        Some(framed)
     }
 
     /// Whether a partial (unterminated) line is pending — including a
     /// poisoned one still awaiting its resynchronizing LF. Readers apply
     /// their per-line deadline to this state.
     pub fn has_partial(&self) -> bool {
-        self.poisoned || !self.buf.is_empty()
+        self.poisoned || self.start < self.buf.len()
+    }
+
+    /// Bytes the buffer holds, popped lines not yet reclaimed included.
+    pub fn retained(&self) -> usize {
+        self.buf.len()
     }
 }
 
@@ -140,5 +171,21 @@ mod tests {
             Some(Framed::Bad("request line is not valid UTF-8"))
         );
         assert_eq!(fb.next_line(), Some(Framed::Line("ok".into())));
+    }
+
+    #[test]
+    fn poisoned_buffer_keeps_reads_after_its_lf_until_popped() {
+        let mut fb = FrameBuf::new(4);
+        fb.extend(b"xxxxxxxx");
+        fb.extend(b"x\nab");
+        // A second read before the lines are popped is kept whole, not
+        // searched for another resynchronizing LF.
+        fb.extend(b"c\nd\n");
+        assert_eq!(fb.next_line(), Some(Framed::Bad("request line too long")));
+        assert_eq!(fb.next_line(), Some(Framed::Line("abc".into())));
+        assert_eq!(fb.next_line(), Some(Framed::Line("d".into())));
+        assert_eq!(fb.next_line(), None);
+        assert!(!fb.has_partial());
+        assert_eq!(fb.retained(), 0);
     }
 }

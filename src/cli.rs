@@ -142,23 +142,10 @@ pub fn parse_mesh_spec(spec: &str, torus: bool) -> Result<Mesh, String> {
     crate::routing::parse_mesh_spec(spec, torus)
 }
 
-/// Parses a coordinate like `3,4` against a mesh.
-pub fn parse_coord(spec: &str, mesh: &Mesh) -> Result<Coord, String> {
-    let xs: Result<Vec<u32>, _> = spec.split(',').map(str::parse::<u32>).collect();
-    let xs = xs.map_err(|e| format!("bad coordinate `{spec}`: {e}"))?;
-    if xs.len() != mesh.dim() {
-        return Err(format!(
-            "coordinate `{spec}` has {} components, mesh has {} dimensions",
-            xs.len(),
-            mesh.dim()
-        ));
-    }
-    let c = Coord::new(&xs);
-    if !mesh.contains(&c) {
-        return Err(format!("coordinate {c} outside the mesh"));
-    }
-    Ok(c)
-}
+/// Parses a coordinate like `3,4` against a mesh: the serve wire's
+/// parser, so `path --from/--to` and `PATH` lines accept the same
+/// coordinates and reject bad ones with the same message.
+pub use oblivion_serve::wire::parse_coord;
 
 /// The router names the CLI accepts (the shared factory's list, so the
 /// CLI and `ADMIN ADD` agree).
