@@ -215,56 +215,11 @@ fn coord_len(c: &Coord, dim: usize) -> usize {
 }
 
 /// Parses a wire coordinate against a mesh (dimension and bounds check).
-/// Components are parsed into a fixed array on the stack.
+/// Components are parsed into a fixed array on the stack, each through
+/// `str::parse::<u32>`, whose error text a `BAD_REQUEST` reply echoes.
+/// Components past [`MAX_DIM`] are counted but not kept, so the count
+/// error names the token's true length.
 pub fn parse_coord(token: &str, mesh: &Mesh) -> Result<Coord, String> {
-    let (xs, n) = match plain_components(token) {
-        Some(plain) => plain,
-        None => components(token)?,
-    };
-    if n != mesh.dim() {
-        return Err(format!(
-            "coordinate `{token}` has {n} components, mesh has {} dimensions",
-            mesh.dim()
-        ));
-    }
-    let c = Coord::new(&xs[..n]);
-    if !mesh.contains(&c) {
-        return Err(format!("coordinate `{token}` outside the mesh"));
-    }
-    Ok(c)
-}
-
-/// The components of a token of plain decimal digits and commas, in one
-/// pass over its bytes; `None` for anything else (a sign, an empty or
-/// overflowing component, more than [`MAX_DIM`] components), which
-/// [`components`] then parses or rejects.
-fn plain_components(token: &str) -> Option<([u32; MAX_DIM], usize)> {
-    let mut xs = [0u32; MAX_DIM];
-    let mut n = 0;
-    let mut empty = true;
-    for &b in token.as_bytes() {
-        if b == b',' {
-            n += 1;
-            if empty || n == MAX_DIM {
-                return None;
-            }
-            empty = true;
-        } else {
-            let d = b.wrapping_sub(b'0');
-            if d > 9 {
-                return None;
-            }
-            xs[n] = xs[n].checked_mul(10)?.checked_add(u32::from(d))?;
-            empty = false;
-        }
-    }
-    (!empty).then_some((xs, n + 1))
-}
-
-/// Every component through `str::parse::<u32>`, whose error text a
-/// `BAD_REQUEST` reply echoes. Components past [`MAX_DIM`] are counted
-/// but not kept, so the count error names the token's true length.
-fn components(token: &str) -> Result<([u32; MAX_DIM], usize), String> {
     let mut xs = [0u32; MAX_DIM];
     let mut n = 0;
     for part in token.split(',') {
@@ -276,7 +231,17 @@ fn components(token: &str) -> Result<([u32; MAX_DIM], usize), String> {
         }
         n += 1;
     }
-    Ok((xs, n))
+    if n != mesh.dim() {
+        return Err(format!(
+            "coordinate `{token}` has {n} components, mesh has {} dimensions",
+            mesh.dim()
+        ));
+    }
+    let c = Coord::new(&xs[..n]);
+    if !mesh.contains(&c) {
+        return Err(format!("coordinate `{token}` outside the mesh"));
+    }
+    Ok(c)
 }
 
 /// Checks a wire trace ID: 1..=[`MAX_REQUEST_ID`] chars of
