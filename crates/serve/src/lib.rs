@@ -32,8 +32,9 @@
 //!   on the health port so it stays scrapeable at full overload.
 //! * [`top`] — the terminal live view behind `oblivion top`, polling
 //!   `METRICS` and rendering rates, gauges, and phase quantiles.
-//! * [`client`] / [`loadgen`] — the companion client and load generator
-//!   with retry + capped exponential backoff, an open-loop mode
+//! * [`client`] / [`loadgen`] — the companion client and load generator,
+//!   sharing one framed line reader and one reply classifier, with
+//!   retry + capped exponential backoff, an open-loop mode
 //!   (scheduled arrivals, coordinated-omission-corrected tails), and
 //!   hedged requests; the chaos gate kill -9s the server mid-load,
 //!   restarts it, and requires the retries to converge with zero

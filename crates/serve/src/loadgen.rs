@@ -10,27 +10,34 @@
 //! responses are never retried: the former is a client bug, the latter
 //! a server bug, and hiding either behind a retry would defeat the gate.
 //!
-//! Three transports, same accounting:
-//! - default: one connection per request (the conservative baseline);
-//! - `keep_alive`: one persistent connection per thread, one request in
-//!   flight at a time;
-//! - `pipeline > 1` (implies keep-alive): up to `pipeline` request
-//!   lines written as a single burst before any reply is read; replies
-//!   are consumed in order and every echoed ID is verified, so a
-//!   desynchronized stream lands in the `malformed` bucket and fails
-//!   the run. A transport error mid-window counts every unanswered
-//!   request as `transport`, reconnects, and re-enqueues what the retry
-//!   budget allows.
+//! Two workers, one reply path. Every reply is framed by the crate's one
+//! line reader and judged by its one classifier
+//! (`classify_path_reply`): echoed ID, endpoints, mesh-adjacent hops.
+//! One tally books each attempt's outcome in the report's counters. The
+//! workers differ only in how requests reach the wire:
+//! - per-request (the default, and the worker for `open_loop` and
+//!   `hedge_after`): every attempt opens a fresh connection, writes one
+//!   line and reads one reply; an armed hedge races a second connection;
+//! - pipelined (`keep_alive`, or `pipeline > 1`): one persistent
+//!   connection per thread, up to `pipeline` request lines written as a
+//!   single burst before any reply is read. Replies are consumed in
+//!   order and every echoed ID is verified, so a desynchronized stream
+//!   lands in the `malformed` bucket and fails the run. A transport
+//!   error or a malformed reply mid-window drops the connection, counts
+//!   every unanswered request as `transport`, reconnects, and
+//!   re-enqueues what the retry budget allows.
 //!
-//! **Open loop vs closed loop.** The transports above are closed-loop:
-//! a slow reply delays the *next* request, so the measured tail hides
-//! exactly the stalls it should expose (coordinated omission). With
-//! `open_loop` the generator schedules arrival `i` at `start + i/rate`
-//! and charges every microsecond from the *scheduled* arrival — queue
-//! time behind a straggler, retries, hedges — to that request's
-//! latency, so p99/p999 are the tails a real open client population
-//! would see. When every worker is busy the launch happens late and is
-//! counted in `late_launches`; the wait is still charged to latency.
+//! **Open loop vs closed loop.** By default both workers are
+//! closed-loop: a thread has one request (or one window) in flight, and
+//! latency runs from the start of the attempt that succeeded. A slow
+//! reply delays the *next* request, so the measured tail hides exactly
+//! the stalls it should expose (coordinated omission). With `open_loop`
+//! the per-request worker schedules arrival `i` at `start + i/rate` and
+//! charges every microsecond from the *scheduled* arrival — queue time
+//! behind a straggler, retries, hedges — to that request's latency, so
+//! p99/p999 are the tails a real open client population would see. When
+//! every worker is busy the launch happens late and is counted in
+//! `late_launches`; the wait is still charged to latency.
 //!
 //! **Multi-tenant mix.** With a non-empty `tenants` list each request
 //! is deterministically assigned a mesh id by weight (a pure function
@@ -50,8 +57,10 @@
 //! completion whose bytes land in a closed socket), so the server's
 //! conservation law balances on every scrape despite the duplicates.
 
-use crate::client::{validate_path_payload, Client, ClientError, PipelinedConn};
-use crate::wire::{self, ErrorKind, Response};
+use crate::client::{
+    classify_path_reply, path_request_line, transport, ClientError, PipelinedConn,
+};
+use crate::wire::ErrorKind;
 use oblivion_mesh::{Coord, Mesh};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -275,6 +284,60 @@ impl LoadgenReport {
         tenant.map(|t| self.tenants.entry(t.to_string()).or_default())
     }
 
+    /// Books the outcome of attempt `attempt` of request `id`: a success
+    /// with its latency charged from `since`, or a failure in its error
+    /// counter. Returns whether the request should be retried.
+    fn settle(
+        &mut self,
+        cfg: &LoadgenConfig,
+        id: usize,
+        attempt: u32,
+        outcome: Result<Vec<Coord>, ClientError>,
+        since: Instant,
+    ) -> bool {
+        let tenant = tenant_of(cfg, id as u64);
+        let e = match outcome {
+            Ok(_) => {
+                let us = since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                self.ok += 1;
+                self.latencies_us.push(us);
+                if let Some(t) = self.tenant_mut(tenant) {
+                    t.ok += 1;
+                    t.latencies_us.push(us);
+                }
+                return false;
+            }
+            Err(e) => e,
+        };
+        match &e {
+            ClientError::Transport(_) => self.transport += 1,
+            ClientError::Malformed(why) => {
+                eprintln!("loadgen: malformed reply: {why}");
+                self.malformed += 1;
+            }
+            ClientError::Server(ErrorKind::Overloaded, _) => {
+                self.overloaded += 1;
+                if let Some(t) = self.tenant_mut(tenant) {
+                    t.overloaded += 1;
+                }
+            }
+            ClientError::Server(ErrorKind::DeadlineExceeded, _) => self.deadline += 1,
+            ClientError::Server(ErrorKind::ShuttingDown, _) => self.shutting_down += 1,
+            ClientError::Server(ErrorKind::BadRequest, _) => self.bad_request += 1,
+            ClientError::Server(ErrorKind::UnknownMesh, _) => self.unknown_mesh += 1,
+            ClientError::Server(ErrorKind::MeshRetired, _) => self.mesh_retired += 1,
+        }
+        if e.retryable() && attempt < cfg.retries {
+            self.retries += 1;
+            return true;
+        }
+        self.failed += 1;
+        if let Some(t) = self.tenant_mut(tenant) {
+            t.failed += 1;
+        }
+        false
+    }
+
     /// Human+grep-friendly rendering (the chaos gate greps the
     /// `key=value` line).
     pub fn render(&self) -> String {
@@ -379,8 +442,8 @@ fn backoff_delay(cfg: &LoadgenConfig, attempt: u32) -> Duration {
     exp.min(cfg.backoff_cap)
 }
 
-/// One not-yet-answered request in a pipelined window: its global id,
-/// retry attempt, and the deterministic request triple.
+/// One request attempt: its global id, retry attempt, and the
+/// deterministic request triple.
 struct Pending {
     id: usize,
     attempt: u32,
@@ -404,9 +467,26 @@ impl Pending {
     fn trace_id(&self) -> String {
         format!("lg-{}.{}", self.id, self.attempt)
     }
+
+    /// The wire line for this attempt under trace ID `id`, with its
+    /// tenant's `MESH` prefix when a mix is configured.
+    fn request_line(&self, cfg: &LoadgenConfig, id: &str) -> String {
+        let tenant = tenant_of(cfg, self.id as u64);
+        path_request_line(&cfg.mesh, tenant, self.seed, &self.src, &self.dst, Some(id))
+    }
+
+    /// Classifies the reply `line` sent under trace ID `id`.
+    fn classify(
+        &self,
+        cfg: &LoadgenConfig,
+        line: &str,
+        id: &str,
+    ) -> Result<Vec<Coord>, ClientError> {
+        classify_path_reply(&cfg.mesh, line, &self.src, &self.dst, Some(id))
+    }
 }
 
-/// The per-thread loop for the keep-alive/pipelined transports. Windows
+/// The per-thread loop for the keep-alive/pipelined transport. Windows
 /// of up to `cfg.pipeline` requests are written as one burst; replies
 /// are read back in order with their ID echoes verified.
 fn pipelined_worker(
@@ -435,192 +515,47 @@ fn pipelined_worker(
         if window.is_empty() {
             return;
         }
-        // A transport failure anywhere voids the whole unanswered tail:
-        // count each as observed, re-enqueue what the budget allows.
-        let mut requeue_min_attempt: Option<u32> = None;
-        fn transport_fail(
-            cfg: &LoadgenConfig,
-            p: Pending,
-            local: &mut LoadgenReport,
-            todo: &mut VecDeque<Pending>,
-            requeue_min_attempt: &mut Option<u32>,
-        ) {
-            local.transport += 1;
-            if p.attempt < cfg.retries {
-                local.retries += 1;
-                *requeue_min_attempt =
-                    Some(requeue_min_attempt.map_or(p.attempt, |a| a.min(p.attempt)));
-                todo.push_back(Pending::of(cfg, p.id, p.attempt + 1));
-            } else {
-                local.failed += 1;
-                if let Some(t) = local.tenant_mut(tenant_of(cfg, p.id as u64)) {
-                    t.failed += 1;
-                }
-            }
-        }
-        // Connect (or reuse the kept-alive connection).
+        let burst: String = window
+            .iter()
+            .map(|p| p.request_line(cfg, &p.trace_id()))
+            .collect();
+        // Connect (or reuse the kept-alive connection), then one write
+        // for the whole burst.
         if conn.is_none() {
-            match PipelinedConn::connect(addr, cfg.timeout) {
-                Ok(c) => conn = Some(c),
-                Err(_) => {
-                    for p in window {
-                        transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
-                    }
-                    if let Some(a) = requeue_min_attempt {
-                        std::thread::sleep(backoff_delay(cfg, a));
-                    }
-                    continue;
-                }
-            }
-        }
-        // One write for the whole burst (each line carries its tenant's
-        // `MESH` prefix when a mix is configured).
-        let mut burst = String::new();
-        for p in &window {
-            burst.push_str(&request_line(cfg, p, &p.trace_id()));
+            conn = PipelinedConn::connect(addr, cfg.timeout).ok();
         }
         let t0 = Instant::now();
         let deadline = t0 + cfg.timeout;
-        let send_ok = match conn.as_mut() {
-            Some(c) => c.send_burst(&burst, deadline).is_ok(),
-            None => false,
-        };
-        if !send_ok {
-            conn = None;
-            for p in window {
-                transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
+        if let Some(c) = conn.as_mut() {
+            if c.send_burst(&burst, deadline).is_err() {
+                conn = None;
             }
-            if let Some(a) = requeue_min_attempt {
-                std::thread::sleep(backoff_delay(cfg, a));
-            }
-            continue;
         }
-        // Read the replies in request order.
-        let mut dead = false;
+        // Read the replies in request order. Once the connection is gone
+        // every unanswered request is a transport failure, re-enqueued
+        // as the retry budget allows.
+        let mut backoff_attempt: Option<u32> = None;
         for p in window {
-            let tenant = tenant_of(cfg, p.id as u64);
-            if dead {
-                transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
-                continue;
+            let outcome = match conn.as_mut() {
+                Some(c) => c
+                    .recv_line(deadline)
+                    .and_then(|line| p.classify(cfg, &line, &p.trace_id())),
+                None => Err(transport(IoKind::NotConnected, "pipelined connection lost")),
+            };
+            if matches!(
+                outcome,
+                Err(ClientError::Transport(_) | ClientError::Malformed(_))
+            ) {
+                // The stream cannot be trusted past a lost or malformed
+                // reply.
+                conn = None;
             }
-            let line = match conn.as_mut() {
-                Some(c) => c.recv_line(deadline),
-                None => unreachable!("connection verified above"), // ci-allow-unwrap: guarded by send_ok
-            };
-            let line = match line {
-                Ok(line) => line,
-                Err(ClientError::Transport(_)) => {
-                    dead = true;
-                    conn = None;
-                    transport_fail(cfg, p, local, &mut todo, &mut requeue_min_attempt);
-                    continue;
-                }
-                Err(e) => {
-                    // Malformed framing: a server bug; never retried,
-                    // and the stream cannot be trusted afterwards.
-                    eprintln!("loadgen: malformed reply: {e:?}");
-                    local.malformed += 1;
-                    local.failed += 1;
-                    if let Some(t) = local.tenant_mut(tenant) {
-                        t.failed += 1;
-                    }
-                    dead = true;
-                    conn = None;
-                    continue;
-                }
-            };
-            let want = p.trace_id();
-            match wire::parse_response_with_id(&line) {
-                Err(why) => {
-                    eprintln!("loadgen: malformed response: {why}");
-                    local.malformed += 1;
-                    local.failed += 1;
-                    if let Some(t) = local.tenant_mut(tenant) {
-                        t.failed += 1;
-                    }
-                    dead = true;
-                    conn = None;
-                }
-                Ok((Response::Ok(payload), echoed)) => {
-                    if echoed.as_deref() != Some(want.as_str()) {
-                        // A wrong or missing echo on OK means the
-                        // pipeline desynchronized — fatal for the run.
-                        eprintln!("loadgen: request id not echoed: sent `{want}`, got {echoed:?}");
-                        local.malformed += 1;
-                        local.failed += 1;
-                        if let Some(t) = local.tenant_mut(tenant) {
-                            t.failed += 1;
-                        }
-                        dead = true;
-                        conn = None;
-                    } else {
-                        match validate_path_payload(&cfg.mesh, &payload, &p.src, &p.dst) {
-                            Ok(_) => {
-                                let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                                local.ok += 1;
-                                local.latencies_us.push(us);
-                                if let Some(t) = local.tenant_mut(tenant) {
-                                    t.ok += 1;
-                                    t.latencies_us.push(us);
-                                }
-                            }
-                            Err(why) => {
-                                eprintln!("loadgen: malformed path: {why}");
-                                local.malformed += 1;
-                                local.failed += 1;
-                                if let Some(t) = local.tenant_mut(tenant) {
-                                    t.failed += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok((Response::Err(kind, _detail), echoed)) => {
-                    // Per-line errors echo the ID; connection-level
-                    // rejections (admission shed) legitimately carry
-                    // none. An ID that *contradicts* the request means
-                    // desync.
-                    if let Some(got) = &echoed {
-                        if got != &want {
-                            eprintln!("loadgen: request id mangled: sent `{want}`, got `{got}`");
-                            local.malformed += 1;
-                            local.failed += 1;
-                            if let Some(t) = local.tenant_mut(tenant) {
-                                t.failed += 1;
-                            }
-                            dead = true;
-                            conn = None;
-                            continue;
-                        }
-                    }
-                    match kind {
-                        ErrorKind::Overloaded => {
-                            local.overloaded += 1;
-                            if let Some(t) = local.tenant_mut(tenant) {
-                                t.overloaded += 1;
-                            }
-                        }
-                        ErrorKind::DeadlineExceeded => local.deadline += 1,
-                        ErrorKind::ShuttingDown => local.shutting_down += 1,
-                        ErrorKind::BadRequest => local.bad_request += 1,
-                        ErrorKind::UnknownMesh => local.unknown_mesh += 1,
-                        ErrorKind::MeshRetired => local.mesh_retired += 1,
-                    }
-                    if kind.retryable() && p.attempt < cfg.retries {
-                        local.retries += 1;
-                        requeue_min_attempt =
-                            Some(requeue_min_attempt.map_or(p.attempt, |a| a.min(p.attempt)));
-                        todo.push_back(Pending::of(cfg, p.id, p.attempt + 1));
-                    } else {
-                        local.failed += 1;
-                        if let Some(t) = local.tenant_mut(tenant) {
-                            t.failed += 1;
-                        }
-                    }
-                }
+            if local.settle(cfg, p.id, p.attempt, outcome, t0) {
+                backoff_attempt = Some(backoff_attempt.map_or(p.attempt, |a| a.min(p.attempt)));
+                todo.push_back(Pending::of(cfg, p.id, p.attempt + 1));
             }
         }
-        if let Some(a) = requeue_min_attempt {
+        if let Some(a) = backoff_attempt {
             std::thread::sleep(backoff_delay(cfg, a));
         }
     }
@@ -663,236 +598,106 @@ fn hedge_threshold(
     }
 }
 
-/// Classifies one full reply line for request `p` answered under trace
-/// id `want_id`. Returns `Ok(())` on a validated path, `Err(retryable)`
-/// otherwise; the caller owns the `ok`/`failed`/latency accounting.
-fn settle_reply(
-    cfg: &LoadgenConfig,
-    p: &Pending,
-    want_id: &str,
-    line: &str,
-    local: &mut LoadgenReport,
-) -> Result<(), bool> {
-    match wire::parse_response_with_id(line) {
-        Err(why) => {
-            eprintln!("loadgen: malformed response: {why}");
-            local.malformed += 1;
-            Err(false)
-        }
-        Ok((Response::Ok(payload), echoed)) => {
-            if echoed.as_deref() != Some(want_id) {
-                eprintln!("loadgen: request id not echoed: sent `{want_id}`, got {echoed:?}");
-                local.malformed += 1;
-                return Err(false);
-            }
-            match validate_path_payload(&cfg.mesh, &payload, &p.src, &p.dst) {
-                Ok(_) => Ok(()),
-                Err(why) => {
-                    eprintln!("loadgen: malformed path: {why}");
-                    local.malformed += 1;
-                    Err(false)
-                }
-            }
-        }
-        Ok((Response::Err(kind, _detail), echoed)) => {
-            // Connection-level rejections may carry no ID, but one that
-            // contradicts the request means the stream desynchronized.
-            if let Some(got) = &echoed {
-                if got != want_id {
-                    eprintln!("loadgen: request id mangled: sent `{want_id}`, got `{got}`");
-                    local.malformed += 1;
-                    return Err(false);
-                }
-            }
-            match kind {
-                ErrorKind::Overloaded => {
-                    local.overloaded += 1;
-                    if let Some(t) = local.tenant_mut(tenant_of(cfg, p.id as u64)) {
-                        t.overloaded += 1;
-                    }
-                }
-                ErrorKind::DeadlineExceeded => local.deadline += 1,
-                ErrorKind::ShuttingDown => local.shutting_down += 1,
-                ErrorKind::BadRequest => local.bad_request += 1,
-                ErrorKind::UnknownMesh => local.unknown_mesh += 1,
-                ErrorKind::MeshRetired => local.mesh_retired += 1,
-            }
-            Err(kind.retryable())
-        }
-    }
-}
-
-fn request_line(cfg: &LoadgenConfig, p: &Pending, id: &str) -> String {
-    let prefix = match tenant_of(cfg, p.id as u64) {
-        Some(t) => format!("MESH {t} "),
-        None => String::new(),
-    };
-    format!(
-        "{prefix}PATH {} {} {} id={}\n",
-        p.seed,
-        wire::format_coord(&p.src, cfg.mesh.dim()),
-        wire::format_coord(&p.dst, cfg.mesh.dim()),
-        id
-    )
-}
-
-/// One possibly-hedged attempt: send on a fresh primary connection,
-/// wait alone until the stall threshold, then fire the duplicate on a
-/// second connection and poll both — first full reply wins, the loser
-/// is dropped unread and counted as `hedge_wasted`. The race itself is
-/// bounded: if *neither* copy answers within the race budget, both drew
-/// stragglers and waiting longer is throwing good time after bad — the
-/// pair is abandoned (wasted + transport) and the attempt retried
-/// fresh. The budget starts at one more threshold and doubles with
-/// `attempt` (escalating patience): early attempts abandon near 2x the
-/// threshold, which is where the tail cut comes from, while late
-/// attempts wait out even a saturated server so retries are guaranteed
-/// to converge instead of storming. Returns `Ok(())` on a validated
-/// answer, `Err(retryable)` otherwise.
+/// One attempt on a fresh connection, hedged when `hedge_after` is set:
+/// send on the primary, wait alone until the stall threshold, then fire
+/// the duplicate on a second connection and poll both — first full
+/// reply wins, the loser is dropped unread and counted as
+/// `hedge_wasted`. The race itself is bounded: if *neither* copy answers
+/// within the race budget, both drew stragglers and waiting longer is
+/// throwing good time after bad — the pair is abandoned (wasted +
+/// transport) and the attempt retried fresh. The budget starts at one
+/// more threshold and doubles with the attempt number (escalating
+/// patience): early attempts abandon near 2x the threshold, which is
+/// where the tail cut comes from, while late attempts wait out even a
+/// saturated server so retries are guaranteed to converge instead of
+/// storming. With no hedge this is one connection, one line, one reply.
 fn hedged_attempt(
     cfg: &LoadgenConfig,
     addr: SocketAddr,
     p: &Pending,
     hedge_after: Option<Duration>,
-    attempt: u32,
     local: &mut LoadgenReport,
-) -> Result<(), bool> {
+) -> Result<Vec<Coord>, ClientError> {
     let t0 = Instant::now();
     let overall = t0 + cfg.timeout;
     let primary_id = p.trace_id();
-    let mut primary = match PipelinedConn::connect(addr, cfg.timeout) {
-        Ok(c) => c,
-        Err(_) => {
-            local.transport += 1;
-            return Err(true);
-        }
-    };
-    if primary
-        .send_burst(&request_line(cfg, p, &primary_id), overall)
-        .is_err()
-    {
-        local.transport += 1;
-        return Err(true);
-    }
+    let mut primary = PipelinedConn::connect(addr, cfg.timeout).map_err(ClientError::Transport)?;
+    primary
+        .send_burst(&p.request_line(cfg, &primary_id), overall)
+        .map_err(ClientError::Transport)?;
     // Phase 1: the primary alone, up to the hedge threshold (or the
     // whole budget when hedging is off / not yet armed).
-    let first_deadline = match hedge_after {
-        Some(h) => (t0 + h).min(overall),
-        None => overall,
+    let Some(h) = hedge_after else {
+        return primary
+            .recv_line(overall)
+            .and_then(|line| p.classify(cfg, &line, &primary_id));
     };
-    match primary.recv_line(first_deadline) {
-        Ok(line) => return settle_reply(cfg, p, &primary_id, &line, local),
-        Err(ClientError::Transport(e)) if e.kind() == IoKind::TimedOut => {
-            if hedge_after.is_none() || Instant::now() >= overall {
-                local.transport += 1;
-                return Err(true);
-            }
-            // Quiet past the threshold with budget left: hedge below.
-        }
-        Err(ClientError::Transport(_)) => {
-            local.transport += 1;
-            return Err(true);
-        }
-        Err(e) => {
-            eprintln!("loadgen: malformed reply: {e:?}");
-            local.malformed += 1;
-            return Err(false);
-        }
+    match primary.recv_line((t0 + h).min(overall)) {
+        // Quiet past the threshold with budget left: hedge below.
+        Err(ClientError::Transport(e))
+            if e.kind() == IoKind::TimedOut && Instant::now() < overall => {}
+        reply => return reply.and_then(|line| p.classify(cfg, &line, &primary_id)),
     }
     // Phase 2: fire the duplicate (trace id `<id>h` so server traces
     // tell the pair apart) and poll both connections until someone
-    // produces a full reply or the race budget — one more threshold —
-    // runs out.
+    // produces a full reply or the race budget runs out.
     local.hedge_launched += 1;
     let hedge_id = format!("{primary_id}h");
-    let mut primary = Some(primary);
-    let mut hedge = {
-        let budget = overall
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1));
-        match PipelinedConn::connect(addr, budget) {
-            Ok(mut c) => {
-                if c.send_burst(&request_line(cfg, p, &hedge_id), overall)
-                    .is_ok()
-                {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
-            Err(_) => None,
-        }
-    };
-    let race_deadline = match hedge_after {
-        Some(h) => (Instant::now() + h.saturating_mul(1u32 << attempt.min(8))).min(overall),
-        None => overall,
-    };
+    let budget = overall
+        .saturating_duration_since(Instant::now())
+        .max(Duration::from_millis(1));
+    let hedge = PipelinedConn::connect(addr, budget).ok().and_then(|mut c| {
+        c.send_burst(&p.request_line(cfg, &hedge_id), overall)
+            .is_ok()
+            .then_some(c)
+    });
+    let race_deadline = (Instant::now() + h.saturating_mul(1u32 << p.attempt.min(8))).min(overall);
+    let mut racers = [(Some(primary), primary_id), (hedge, hedge_id)];
     loop {
         if Instant::now() >= race_deadline {
             // Neither copy answered inside the race budget: both drew
             // stragglers. The duplicate was cancelled unanswered and
             // the attempt is handed back as retryable.
-            if hedge.is_some() {
+            if racers[1].0.is_some() {
                 local.hedge_wasted += 1;
             }
-            local.transport += 1;
-            return Err(true);
+            return Err(transport(IoKind::TimedOut, "hedge race budget expired"));
         }
-        if let Some(c) = primary.as_mut() {
+        for i in 0..2 {
+            let Some(c) = racers[i].0.as_mut() else {
+                continue;
+            };
             match c.recv_line((Instant::now() + HEDGE_POLL).min(race_deadline)) {
-                Ok(line) => {
-                    if hedge.is_some() {
-                        local.hedge_wasted += 1;
-                    }
-                    return settle_reply(cfg, p, &primary_id, &line, local);
-                }
                 Err(ClientError::Transport(e)) if e.kind() == IoKind::TimedOut => {}
-                Err(ClientError::Transport(_)) => primary = None,
-                Err(e) => {
-                    eprintln!("loadgen: malformed reply: {e:?}");
-                    local.malformed += 1;
-                    if hedge.is_some() {
+                Err(ClientError::Transport(_)) => racers[i].0 = None,
+                reply => {
+                    if i == 1 && reply.is_ok() {
+                        local.hedge_won += 1;
+                    }
+                    if racers[1 - i].0.is_some() {
                         local.hedge_wasted += 1;
                     }
-                    return Err(false);
+                    return reply.and_then(|line| p.classify(cfg, &line, &racers[i].1));
                 }
             }
         }
-        if let Some(c) = hedge.as_mut() {
-            match c.recv_line((Instant::now() + HEDGE_POLL).min(race_deadline)) {
-                Ok(line) => {
-                    local.hedge_won += 1;
-                    if primary.is_some() {
-                        local.hedge_wasted += 1;
-                    }
-                    return settle_reply(cfg, p, &hedge_id, &line, local);
-                }
-                Err(ClientError::Transport(e)) if e.kind() == IoKind::TimedOut => {}
-                Err(ClientError::Transport(_)) => hedge = None,
-                Err(e) => {
-                    eprintln!("loadgen: malformed reply: {e:?}");
-                    local.malformed += 1;
-                    if primary.is_some() {
-                        local.hedge_wasted += 1;
-                    }
-                    return Err(false);
-                }
-            }
-        }
-        if primary.is_none() && hedge.is_none() {
+        if racers.iter().all(|(c, _)| c.is_none()) {
             // Both connections died; no cancellation happened, so
             // nothing is wasted — just a transport failure to retry.
-            local.transport += 1;
-            return Err(true);
+            return Err(transport(
+                IoKind::ConnectionReset,
+                "both hedged connections closed",
+            ));
         }
     }
 }
 
-/// The per-thread loop for the open-loop and/or hedged transports: one
-/// logical request at a time on fresh connections (the hedge needs an
-/// independent second connection anyway). In open-loop mode the launch
-/// waits for the scheduled arrival and latency is measured from it —
-/// including any late-launch wait, retries, and hedge time.
+/// The per-thread loop for the per-request transport: one logical
+/// request at a time, each attempt on a fresh connection (a hedge needs
+/// an independent second connection anyway). In open-loop mode the
+/// launch waits for the scheduled arrival and latency is measured from
+/// it, including any late-launch wait, retries, and hedge time; in
+/// closed loop it runs from the start of the attempt that succeeded.
 fn paced_worker(
     cfg: &LoadgenConfig,
     addr: SocketAddr,
@@ -906,7 +711,7 @@ fn paced_worker(
         if id >= cfg.requests {
             return;
         }
-        let sched = if cfg.open_loop {
+        let sched = cfg.open_loop.then(|| {
             let sched = start + Duration::from_secs_f64(id as f64 / cfg.rate.max(1e-9));
             let now = Instant::now();
             if now < sched {
@@ -915,194 +720,49 @@ fn paced_worker(
                 local.late_launches += 1;
             }
             sched
-        } else {
-            Instant::now()
-        };
+        });
         let mut attempt = 0u32;
         loop {
             let p = Pending::of(cfg, id, attempt);
             let threshold = hedge_threshold(cfg, local, &mut p99_cache);
-            match hedged_attempt(cfg, addr, &p, threshold, attempt, local) {
-                Ok(()) => {
-                    let us = Instant::now()
-                        .saturating_duration_since(sched)
-                        .as_micros()
-                        .min(u128::from(u64::MAX)) as u64;
-                    local.ok += 1;
-                    local.latencies_us.push(us);
-                    if let Some(t) = local.tenant_mut(tenant_of(cfg, id as u64)) {
-                        t.ok += 1;
-                        t.latencies_us.push(us);
-                    }
-                    break;
-                }
-                Err(retryable) if retryable && attempt < cfg.retries => {
-                    local.retries += 1;
-                    std::thread::sleep(backoff_delay(cfg, attempt));
-                    attempt += 1;
-                }
-                Err(_) => {
-                    local.failed += 1;
-                    if let Some(t) = local.tenant_mut(tenant_of(cfg, id as u64)) {
-                        t.failed += 1;
-                    }
-                    break;
-                }
+            let began = Instant::now();
+            let outcome = hedged_attempt(cfg, addr, &p, threshold, local);
+            if !local.settle(cfg, id, attempt, outcome, sched.unwrap_or(began)) {
+                break;
             }
+            std::thread::sleep(backoff_delay(cfg, attempt));
+            attempt += 1;
         }
     }
 }
 
-/// Runs the load generation and aggregates the report. Closed-loop by
-/// default; `open_loop` and/or `hedge_after` select the paced
-/// per-request transport.
+/// Runs the load generation and aggregates the report. `keep_alive` or
+/// `pipeline > 1` selects the pipelined worker unless `open_loop` or
+/// `hedge_after` asks for the per-request one, which is also the
+/// default.
 pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
     let started = Instant::now();
+    let Some(addr) = cfg.addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
+        // Unresolvable address: every request is a transport failure;
+        // report rather than panic.
+        eprintln!("loadgen: cannot resolve {}", cfg.addr);
+        return LoadgenReport {
+            failed: cfg.requests as u64,
+            transport: cfg.requests as u64,
+            elapsed: started.elapsed(),
+            ..LoadgenReport::default()
+        };
+    };
+    let pipelined =
+        (cfg.keep_alive || cfg.pipeline > 1) && !cfg.open_loop && cfg.hedge_after.is_none();
     let next: AtomicUsize = AtomicUsize::new(0);
     let merged: Mutex<LoadgenReport> = Mutex::new(LoadgenReport::default());
-    if cfg.open_loop || cfg.hedge_after.is_some() {
-        let addr = match cfg.addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-            Some(a) => a,
-            None => {
-                eprintln!("loadgen: cannot resolve {}", cfg.addr);
-                return LoadgenReport {
-                    failed: cfg.requests as u64,
-                    transport: cfg.requests as u64,
-                    elapsed: started.elapsed(),
-                    ..LoadgenReport::default()
-                };
-            }
-        };
-        oblivion_sim::pool::run_crew(cfg.concurrency.max(1), |_w| {
-            let mut local = LoadgenReport::default();
-            paced_worker(cfg, addr, &next, started, &mut local);
-            let mut m = merged.lock().unwrap_or_else(|e| e.into_inner());
-            m.merge(local);
-        });
-        let mut report = merged.into_inner().unwrap_or_else(|e| e.into_inner());
-        report.latencies_us.sort_unstable();
-        for t in report.tenants.values_mut() {
-            t.latencies_us.sort_unstable();
-        }
-        report.elapsed = started.elapsed();
-        return report;
-    }
-    if cfg.keep_alive || cfg.pipeline > 1 {
-        let addr = match cfg.addr.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-            Some(a) => a,
-            None => {
-                eprintln!("loadgen: cannot resolve {}", cfg.addr);
-                return LoadgenReport {
-                    failed: cfg.requests as u64,
-                    transport: cfg.requests as u64,
-                    elapsed: started.elapsed(),
-                    ..LoadgenReport::default()
-                };
-            }
-        };
-        oblivion_sim::pool::run_crew(cfg.concurrency.max(1), |_w| {
-            let mut local = LoadgenReport::default();
-            pipelined_worker(cfg, addr, &next, &mut local);
-            let mut m = merged.lock().unwrap_or_else(|e| e.into_inner());
-            m.merge(local);
-        });
-        let mut report = merged.into_inner().unwrap_or_else(|e| e.into_inner());
-        report.latencies_us.sort_unstable();
-        for t in report.tenants.values_mut() {
-            t.latencies_us.sort_unstable();
-        }
-        report.elapsed = started.elapsed();
-        return report;
-    }
-    let client = match Client::new(&cfg.addr, cfg.timeout) {
-        Ok(c) => c,
-        Err(e) => {
-            // Unresolvable address: every request is a transport
-            // failure; report rather than panic.
-            eprintln!("loadgen: cannot resolve {}: {e}", cfg.addr);
-            return LoadgenReport {
-                failed: cfg.requests as u64,
-                transport: cfg.requests as u64,
-                elapsed: started.elapsed(),
-                ..LoadgenReport::default()
-            };
-        }
-    };
     oblivion_sim::pool::run_crew(cfg.concurrency.max(1), |_w| {
         let mut local = LoadgenReport::default();
-        loop {
-            let id = next.fetch_add(1, Ordering::Relaxed);
-            if id >= cfg.requests {
-                break;
-            }
-            let (path_seed, src, dst) = request_of(&cfg.mesh, cfg.seed, id as u64);
-            let tenant = tenant_of(cfg, id as u64);
-            let mut attempt = 0u32;
-            loop {
-                // Every attempt carries a distinct trace ID; the client
-                // verifies the byte-for-byte echo, so a mangled ID
-                // lands in the malformed bucket and fails the run.
-                let trace_id = format!("lg-{id}.{attempt}");
-                let t0 = Instant::now();
-                match client.request_path_on(
-                    &cfg.mesh,
-                    tenant,
-                    path_seed,
-                    &src,
-                    &dst,
-                    Some(&trace_id),
-                ) {
-                    Ok(_hops) => {
-                        let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        local.ok += 1;
-                        local.latencies_us.push(us);
-                        if let Some(t) = local.tenant_mut(tenant) {
-                            t.ok += 1;
-                            t.latencies_us.push(us);
-                        }
-                        break;
-                    }
-                    Err(e) => {
-                        match &e {
-                            ClientError::Transport(_) => local.transport += 1,
-                            ClientError::Server(ErrorKind::Overloaded, _) => {
-                                local.overloaded += 1;
-                                if let Some(t) = local.tenant_mut(tenant) {
-                                    t.overloaded += 1;
-                                }
-                            }
-                            ClientError::Server(ErrorKind::DeadlineExceeded, _) => {
-                                local.deadline += 1
-                            }
-                            ClientError::Server(ErrorKind::ShuttingDown, _) => {
-                                local.shutting_down += 1
-                            }
-                            ClientError::Server(ErrorKind::BadRequest, _) => local.bad_request += 1,
-                            ClientError::Server(ErrorKind::UnknownMesh, _) => {
-                                local.unknown_mesh += 1
-                            }
-                            ClientError::Server(ErrorKind::MeshRetired, _) => {
-                                local.mesh_retired += 1
-                            }
-                            ClientError::Malformed(why) => {
-                                local.malformed += 1;
-                                eprintln!("loadgen: malformed response: {why}");
-                            }
-                        }
-                        if e.retryable() && attempt < cfg.retries {
-                            local.retries += 1;
-                            std::thread::sleep(backoff_delay(cfg, attempt));
-                            attempt += 1;
-                        } else {
-                            local.failed += 1;
-                            if let Some(t) = local.tenant_mut(tenant) {
-                                t.failed += 1;
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
+        if pipelined {
+            pipelined_worker(cfg, addr, &next, &mut local);
+        } else {
+            paced_worker(cfg, addr, &next, started, &mut local);
         }
         let mut m = merged.lock().unwrap_or_else(|e| e.into_inner());
         m.merge(local);

@@ -46,6 +46,7 @@
 //! [`route_batch`]: oblivion_core::ObliviousRouter::route_batch
 
 use crate::chaos::{ChaosConfig, ChaosPlan};
+use crate::client::next_line;
 use crate::metrics::render_exposition;
 use crate::queue::{Bounded, Pop};
 use crate::registry::{Registry, Resolved, RouterHandle, Tenant};
@@ -1329,8 +1330,9 @@ fn health_loop<'a>(
                 ctl.stats.health_probe();
                 let deadline = Instant::now() + probe_budget;
                 let _ = stream.set_nodelay(true);
-                let reply = match wire::read_line(&stream, MAX_REQUEST_LINE, deadline) {
-                    Ok(line) => match line.trim() {
+                let mut fb = wire::FrameBuf::new(MAX_REQUEST_LINE);
+                let reply = match next_line(&mut fb, &stream, deadline) {
+                    Ok(Some(line)) => match line.trim() {
                         "HEALTH" => probe_reply(&Request::Health, cfg, ctl),
                         "READY" => probe_reply(&Request::Ready, cfg, ctl),
                         "METRICS" => probe_reply(&Request::Metrics, cfg, ctl),
@@ -1342,7 +1344,7 @@ fn health_loop<'a>(
                             ),
                         },
                     },
-                    Err(_) => wire::format_err_line(ErrorKind::BadRequest, "no probe line"),
+                    _ => wire::format_err_line(ErrorKind::BadRequest, "no probe line"),
                 };
                 let _ = wire::write_line(&stream, &reply, deadline);
             }

@@ -66,11 +66,12 @@
 
 use oblivion_mesh::{Coord, Mesh, Path, MAX_DIM};
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Longest request line the server will buffer, terminator included.
+/// Longest request line the server accepts, in bytes, not counting its
+/// CR/LF terminator: a 256-byte line is 258 bytes on the wire as `\r\n`.
 pub const MAX_REQUEST_LINE: usize = 256;
 
 /// Longest client-supplied request ID (`id=<token>`) the server accepts.
@@ -434,69 +435,8 @@ pub fn parse_response_with_id(line: &str) -> Result<(Response, Option<String>), 
 // The incremental LF framer lives in `oblivion-wire`; re-exported here so
 // server code keeps its historical import path. On a `Framed::Bad` the
 // server answers `BAD_REQUEST` in order and the stream stays in sync.
+// Blocking readers pop lines through `client::next_line`.
 pub use oblivion_wire::{FrameBuf, Framed};
-
-/// Why [`read_line`] stopped before producing a line.
-#[derive(Debug)]
-pub enum LineError {
-    /// The deadline expired before a full line arrived.
-    Deadline,
-    /// The peer closed the connection before sending a full line.
-    /// `true` when some bytes had already arrived.
-    Eof(bool),
-    /// The line exceeded the length cap.
-    TooLong,
-    /// Any other socket error.
-    Io(std::io::Error),
-}
-
-/// Reads one LF-terminated line, re-arming the socket read timeout with
-/// the remaining deadline before every read so a trickling peer cannot
-/// stretch the call past `deadline` (the slow-loris defence).
-pub fn read_line(stream: &TcpStream, max: usize, deadline: Instant) -> Result<String, LineError> {
-    let mut buf = Vec::with_capacity(128.min(max));
-    let mut chunk = [0u8; 512];
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(LineError::Deadline);
-        }
-        if let Err(e) = stream.set_read_timeout(Some(remaining)) {
-            return Err(LineError::Io(e));
-        }
-        let n = match (&mut (&*stream)).read(&mut chunk) {
-            Ok(0) => return Err(LineError::Eof(!buf.is_empty())),
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(LineError::Deadline)
-            }
-            Err(e) => return Err(LineError::Io(e)),
-        };
-        for &b in &chunk[..n] {
-            if b == b'\n' {
-                // Anything after the newline is ignored — fine for the
-                // single-probe health connections this helper serves;
-                // pipelined request sockets use FrameBuf instead.
-                return String::from_utf8(buf)
-                    .map(|mut s| {
-                        if s.ends_with('\r') {
-                            s.pop();
-                        }
-                        s
-                    })
-                    .map_err(|_| LineError::TooLong);
-            }
-            buf.push(b);
-            if buf.len() > max {
-                return Err(LineError::TooLong);
-            }
-        }
-    }
-}
 
 /// Writes `line` with the remaining deadline as the write timeout.
 /// Returns `Err` on timeout or a broken peer; the caller decides whether

@@ -8,6 +8,8 @@
 //! rewritten, so any change to a digit, a separator, an echoed ID or an
 //! error message fails here. Wire bytes are a contract: clients parse
 //! them and the differential suite compares them to in-process answers.
+//! The request-line cap is pinned at its edge on both the request port
+//! and the health port, which share one framer.
 
 use oblivion_core::{Busch2D, BuschD, ObliviousRouter, PathQuery};
 use oblivion_mesh::{Coord, Mesh};
@@ -233,4 +235,74 @@ fn golden_bad_request_lines() {
         "error replies changed:\n{}",
         wrong.join("\n")
     );
+}
+
+/// Writes `request` on a fresh connection and reads `n` reply lines back.
+fn reply_lines(addr: std::net::SocketAddr, request: &[u8], n: usize) -> Vec<String> {
+    use std::io::BufRead as _;
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(request).expect("write request");
+    let mut reader = std::io::BufReader::new(stream);
+    (0..n)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read reply");
+            line
+        })
+        .collect()
+}
+
+/// `verb`, a run of spaces, then `rest`: exactly `len` bytes.
+fn padded(verb: &str, rest: &str, len: usize) -> String {
+    let line = format!("{verb}{}{rest}", " ".repeat(len - verb.len() - rest.len()));
+    assert_eq!(line.len(), len);
+    line
+}
+
+#[test]
+fn request_line_cap_excludes_the_terminator() {
+    // The longest accepted line is MAX_REQUEST_LINE bytes, sent here with
+    // a CRLF (258 bytes on the wire); one byte more is rejected. Both
+    // ports frame lines the same way.
+    let max = oblivion_serve::MAX_REQUEST_LINE;
+    assert_eq!(max, 256);
+    let router = BuschD::new(Mesh::new_mesh(&[16, 16, 16]));
+    let cfg = ServeConfig {
+        port: 0,
+        health_port: Some(0),
+        threads: 1,
+        announce: false,
+        ..ServeConfig::default()
+    };
+    let ctl = Control::new();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| oblivion_serve::run(&router, &cfg, &ctl));
+        let addr = ctl.wait_addr(Duration::from_secs(5)).expect("no bind");
+        let health = ctl.health_addr().expect("no health listener");
+
+        let request = format!(
+            "{}\r\n{}\nPATH 1 0,0,0 1,1,1\n",
+            padded("PATH", "1 0,0,0 1,1,1", max),
+            padded("PATH", "1 0,0,0 1,1,1", max + 1)
+        );
+        let got = reply_lines(addr, request.as_bytes(), 3);
+        assert!(got[2].starts_with("OK 0,0,0 "), "{got:?}");
+        assert_eq!(got[0], got[2], "a {max}-byte line must be served");
+        assert_eq!(got[1], "ERR BAD_REQUEST request line too long\n");
+
+        let at_cap = format!("{}\r\n", padded("HEALTH", "", max));
+        let got = reply_lines(health, at_cap.as_bytes(), 1);
+        assert!(got[0].starts_with("OK healthy "), "{got:?}");
+        let over = format!("{}\n", padded("HEALTH", "", max + 1));
+        assert_eq!(
+            reply_lines(health, over.as_bytes(), 1),
+            ["ERR BAD_REQUEST no probe line\n"]
+        );
+
+        ctl.request_shutdown();
+        server.join().expect("server thread").expect("serve run");
+    });
 }

@@ -1,7 +1,8 @@
 //! Incremental LF framing for pipelined byte streams.
 //!
-//! The serving layer's request framer. It survives garbage between
-//! terminators and keeps memory bounded no matter what the peer sends.
+//! The serving layer's line framer, on both ends of the wire. It
+//! survives garbage between terminators and keeps memory bounded no
+//! matter what the peer sends.
 
 /// One framing outcome popped off a [`FrameBuf`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,6 +119,13 @@ impl FrameBuf {
     /// their per-line deadline to this state.
     pub fn has_partial(&self) -> bool {
         self.poisoned || self.start < self.buf.len()
+    }
+
+    /// Whether an over-long line was discarded and its resynchronizing LF
+    /// is still awaited. A reader that wants one line at a time can fail
+    /// that line here instead of waiting for the LF.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned
     }
 }
 

@@ -282,7 +282,7 @@ timed_retry "chaos gate (kill -9 / torn write / corruption / serve restart)" \
 timed "bench gate self-test (synthetic 25% regression must fail)" \
   scripts/bench_gate.sh --self-test
 
-# The error-path crates must not grow panicking shortcuts: any new
+# The error-path crates and the CLI (`src/`) must not grow panicking shortcuts: any new
 # .unwrap()/.expect( in non-test code needs an explicit
 # `// ci-allow-unwrap: why` justification on the same line.
 unwrap_gate() {
@@ -298,7 +298,7 @@ unwrap_gate() {
       END { exit found ? 1 : 0 }
     ' "$file" || bad=1
   done < <(find crates/workloads/src crates/faults/src crates/serve/src \
-    crates/wire/src crates/obs/src -name '*.rs' | sort)
+    crates/wire/src crates/obs/src src -name '*.rs' | sort)
   if [[ $bad -ne 0 ]]; then
     echo "unannotated unwrap()/expect( in error-path crates;" \
       "add \`// ci-allow-unwrap: <why>\` only if provably unreachable" >&2
@@ -306,7 +306,7 @@ unwrap_gate() {
   fi
 }
 
-timed "unwrap/expect gate (workloads, faults, serve, wire, obs)" \
+timed "unwrap/expect gate (workloads, faults, serve, wire, obs, cli)" \
   unwrap_gate
 
 echo "ci: all checks passed"

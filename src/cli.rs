@@ -221,6 +221,16 @@ fn opt<'a>(args: &'a Args, key: &str, default: &'a str) -> &'a str {
     args.options.get(key).map(String::as_str).unwrap_or(default)
 }
 
+/// `--torus true|false` (default `false`); any other value is an error
+/// rather than a silent mesh.
+fn torus_of(args: &Args) -> Result<bool, String> {
+    match opt(args, "torus", "false") {
+        "true" => Ok(true),
+        "false" => Ok(false),
+        other => Err(format!("bad --torus `{other}` (want true or false)")),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Observability plumbing (`--trace`, `--metrics-out`, `oblivion stats`).
 //
@@ -293,7 +303,8 @@ fn finish_metrics(args: &Args) -> Result<(), String> {
         }
     }
     if opt(args, "trace", "false") == "true" {
-        let entries = oblivion_obs::parse_jsonl(&doc).expect("own JSONL must parse");
+        let entries = oblivion_obs::parse_jsonl(&doc)
+            .map_err(|e| format!("metrics document does not parse back: {e}"))?;
         eprintln!("{}", oblivion_obs::render(&entries));
     }
     Ok(())
@@ -558,7 +569,7 @@ fn dispatch(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_route(args: &Args) -> Result<String, String> {
-    let torus = opt(args, "torus", "false") == "true";
+    let torus = torus_of(args)?;
     let mesh = parse_mesh_spec(opt(args, "mesh", "32x32"), torus)?;
     let router = make_router(opt(args, "router", "buschd"), &mesh)?;
     let seed = seed_of(args)?;
@@ -640,7 +651,7 @@ fn cmd_heatmap(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_path(args: &Args) -> Result<String, String> {
-    let torus = opt(args, "torus", "false") == "true";
+    let torus = torus_of(args)?;
     let mesh = parse_mesh_spec(opt(args, "mesh", "32x32"), torus)?;
     let router = make_router(opt(args, "router", "buschd"), &mesh)?;
     let s = parse_coord(args.options.get("from").ok_or("missing --from")?, &mesh)?;
@@ -685,7 +696,7 @@ fn cmd_decompose(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_simulate(args: &Args) -> Result<String, String> {
-    let torus = opt(args, "torus", "false") == "true";
+    let torus = torus_of(args)?;
     let mesh = parse_mesh_spec(opt(args, "mesh", "32x32"), torus)?;
     let router = make_router(opt(args, "router", "buschd"), &mesh)?;
     let seed = seed_of(args)?;
@@ -732,7 +743,7 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
 }
 
 fn cmd_bracket(args: &Args) -> Result<String, String> {
-    let torus = opt(args, "torus", "false") == "true";
+    let torus = torus_of(args)?;
     let mesh = parse_mesh_spec(opt(args, "mesh", "16x16"), torus)?;
     let router = make_router(opt(args, "router", "buschd"), &mesh)?;
     let seed = seed_of(args)?;
@@ -771,6 +782,9 @@ fn cmd_pia(args: &Args) -> Result<String, String> {
     let samples: usize = opt(args, "samples", "1")
         .parse()
         .map_err(|e| format!("bad --samples: {e}"))?;
+    if samples == 0 {
+        return Err("--samples must be at least 1".into());
+    }
     let mut rng = StdRng::seed_from_u64(seed_of(args)?);
     if l == 0 || !mesh.side(0).is_multiple_of(l) || !(mesh.side(0) / l).is_multiple_of(2) {
         return Err(format!(
@@ -1013,7 +1027,7 @@ fn cmd_online(args: &Args) -> Result<String, String> {
     if let Some(store) = store {
         CKPT_CLEAR.with(|c| *c.borrow_mut() = Some(store));
     }
-    let sharding = r.sharding.expect("sharded run reports a summary");
+    let sharding = r.sharding.ok_or("sharded run reported no summary")?;
     report_field("router_name", router.name().as_str());
     if let Some(step0) = resume_step {
         report_field("ckpt_resumed_from_step", step0);

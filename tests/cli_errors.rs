@@ -531,3 +531,59 @@ fn stats_survives_a_histogram_with_min_above_max() {
     );
     let _ = std::fs::remove_file(&metrics);
 }
+
+#[test]
+fn pia_rejects_zero_samples_cleanly() {
+    let out = oblivion(&["pia", "--mesh", "16x16", "--samples", "0"]);
+    assert_clean_failure(&out, "--samples 0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--samples"),
+        "error should name --samples: {stderr}"
+    );
+}
+
+#[test]
+fn torus_accepts_only_true_or_false() {
+    for cmd in ["route", "simulate", "bracket"] {
+        let out = oblivion(&[
+            cmd,
+            "--mesh",
+            "4x4",
+            "--router",
+            "dim-order",
+            "--torus",
+            "yes",
+        ]);
+        assert_clean_failure(&out, &format!("{cmd} --torus yes"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--torus"),
+            "{cmd}: error should name --torus: {stderr}"
+        );
+    }
+    let out = oblivion(&[
+        "path",
+        "--mesh",
+        "4x4",
+        "--router",
+        "dim-order",
+        "--from",
+        "0,0",
+        "--to",
+        "1,1",
+        "--torus",
+        "1",
+    ]);
+    assert_clean_failure(&out, "path --torus 1");
+    let out = oblivion(&[
+        "route",
+        "--mesh",
+        "4x4",
+        "--router",
+        "dim-order",
+        "--torus",
+        "false",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "--torus false must still route");
+}
